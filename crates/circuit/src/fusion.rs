@@ -428,7 +428,9 @@ fn local_with_bit(l: usize, qubit: usize, support: &[usize], value: u8) -> usize
 }
 
 /// Dense matrix of one gate embedded on the sorted `support` (which must
-/// contain every qubit of the gate).
+/// contain every qubit of the gate): the reference [`compose_dense`] is
+/// pinned to.
+#[cfg(test)]
 fn local_matrix(gate: &Gate, support: &[usize]) -> CMatrix {
     let dim = 1usize << support.len();
     let mut m = CMatrix::zeros(dim, dim);
@@ -477,6 +479,102 @@ fn local_matrix(gate: &Gate, support: &[usize]) -> CMatrix {
         }
     }
     m
+}
+
+/// Composes one gate into the accumulated dense block `m` (indexed over the
+/// sorted `support`) in place: `m ← L·m`, with `L` the gate's matrix on the
+/// support. Row `r` of `L` is non-zero only in columns `r` and `r'`, its
+/// partner under the target bit flip (or the swap), so each output row
+/// pair is built from the same input row pair. Every entry takes
+/// `CMatrix::matmul`'s arithmetic — terms in increasing column order,
+/// accumulated from zero, zero coefficients skipped — so the block is
+/// bit-identical to the dense product.
+fn compose_dense(gate: &Gate, support: &[usize], m: &mut CMatrix) {
+    let dim = m.rows();
+    let (zero, one) = (Complex64::ZERO, Complex64::ONE);
+    match gate_action(gate) {
+        GateAction::Global(theta) => {
+            let p = Complex64::cis(theta);
+            for r in 0..dim {
+                scale_row(m, r, p);
+            }
+        }
+        GateAction::Keyed { key, theta } => {
+            let p = Complex64::cis(theta);
+            for r in 0..dim {
+                let hit = key
+                    .iter()
+                    .all(|k| local_bit(r, k.qubit, support) == k.value);
+                scale_row(m, r, if hit { p } else { one });
+            }
+        }
+        GateAction::SwapPair { a, b } => {
+            for r in 0..dim {
+                let (ba, bb) = (local_bit(r, a, support), local_bit(r, b, support));
+                let s = local_with_bit(local_with_bit(r, a, support, bb), b, support, ba);
+                if s == r {
+                    scale_row(m, r, one);
+                } else if r < s {
+                    mix_rows(m, r, s, [[zero, one], [one, zero]]);
+                }
+            }
+        }
+        GateAction::Controlled {
+            controls,
+            target,
+            u,
+        } => {
+            let hit_u = [[u[(0, 0)], u[(0, 1)]], [u[(1, 0)], u[(1, 1)]]];
+            let miss_u = [[one, zero], [zero, one]];
+            for r in 0..dim {
+                if local_bit(r, target, support) == 1 {
+                    continue;
+                }
+                let hit = controls
+                    .iter()
+                    .all(|k| local_bit(r, k.qubit, support) == k.value);
+                let r1 = local_with_bit(r, target, support, 1);
+                mix_rows(m, r, r1, if hit { hit_u } else { miss_u });
+            }
+        }
+    }
+}
+
+/// One product term of a `CMatrix::matmul` entry: `acc += k·x`, skipped
+/// when the coefficient `k` is zero.
+#[inline]
+fn add_term(acc: &mut Complex64, k: Complex64, x: Complex64) {
+    if k.norm_sqr() != 0.0 {
+        *acc += k * x;
+    }
+}
+
+/// Replaces row `r` of `m` by `d · row r`.
+fn scale_row(m: &mut CMatrix, r: usize, d: Complex64) {
+    let dim = m.cols();
+    for x in &mut m.data_mut()[r * dim..(r + 1) * dim] {
+        let mut acc = Complex64::ZERO;
+        add_term(&mut acc, d, *x);
+        *x = acc;
+    }
+}
+
+/// Replaces rows `lo < hi` of `m` by `c · [row lo; row hi]`.
+fn mix_rows(m: &mut CMatrix, lo: usize, hi: usize, c: [[Complex64; 2]; 2]) {
+    let dim = m.cols();
+    let (head, tail) = m.data_mut().split_at_mut(hi * dim);
+    for (a, b) in head[lo * dim..(lo + 1) * dim]
+        .iter_mut()
+        .zip(&mut tail[..dim])
+    {
+        let (x0, x1) = (*a, *b);
+        let (mut y0, mut y1) = (Complex64::ZERO, Complex64::ZERO);
+        add_term(&mut y0, c[0][0], x0);
+        add_term(&mut y0, c[0][1], x1);
+        add_term(&mut y1, c[1][0], x0);
+        add_term(&mut y1, c[1][1], x1);
+        (*a, *b) = (y0, y1);
+    }
 }
 
 /// Multiplies the diagonal phase of one diagonal gate into `table` (indexed
@@ -1103,7 +1201,7 @@ fn emit_block(block: &PlanBlock, all_gates: &[Gate]) -> Option<FusedOp> {
     let dim = 1usize << support.len();
     let mut m = CMatrix::identity(dim);
     for g in gates {
-        m = local_matrix(g, &support).matmul(&m);
+        compose_dense(g, &support, &mut m);
     }
     if let Some(table) = try_diagonal(&m) {
         if is_identity_diag(&table) {
@@ -1297,6 +1395,138 @@ mod tests {
         // reordered before CX(2,3).
         assert!(f.ops().len() >= 2);
         assert_eq!(f.source_gates(), 3);
+    }
+
+    /// SplitMix64: a fixed, dependency-free random stream for the
+    /// composition property test.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn pick(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn control(&mut self, qubits: &[usize]) -> ControlBit {
+            ControlBit {
+                qubit: qubits[self.pick(qubits.len())],
+                value: self.pick(2) as u8,
+            }
+        }
+    }
+
+    /// Random gate over qubits drawn from `support` (in any order), covering
+    /// every `GateAction` shape: global phases, keyed phases (repeated key
+    /// qubits, hence contradictory keys, included), swaps, X/Y (zero
+    /// entries), rotations at angle 0 (zero off-diagonals) and 0–2 controls
+    /// of either value (repeats included).
+    fn random_action_gate(support: &[usize], rng: &mut SplitMix) -> Gate {
+        let q = support[rng.pick(support.len())];
+        let theta = match rng.pick(4) {
+            0 => 0.0,
+            1 => PI,
+            _ => (rng.pick(1 << 20) as f64 / (1 << 20) as f64 - 0.5) * 4.0 * PI,
+        };
+        let others: Vec<usize> = support.iter().copied().filter(|&o| o != q).collect();
+        match rng.pick(8) {
+            0 => Gate::GlobalPhase(theta),
+            1 => Gate::KeyedPhase {
+                key: (0..1 + rng.pick(3)).map(|_| rng.control(support)).collect(),
+                theta,
+            },
+            2 if !others.is_empty() => Gate::Swap {
+                a: q,
+                b: others[rng.pick(others.len())],
+            },
+            3 if !others.is_empty() => Gate::Cx {
+                control: others[rng.pick(others.len())],
+                target: q,
+            },
+            4 if !others.is_empty() => Gate::Cz {
+                a: others[rng.pick(others.len())],
+                b: q,
+            },
+            5 => {
+                let controls: Vec<ControlBit> = if others.is_empty() {
+                    Vec::new()
+                } else {
+                    (0..rng.pick(3)).map(|_| rng.control(&others)).collect()
+                };
+                match rng.pick(4) {
+                    0 => Gate::McX {
+                        controls,
+                        target: q,
+                    },
+                    1 => Gate::McRx {
+                        controls,
+                        target: q,
+                        theta,
+                    },
+                    2 => Gate::McRy {
+                        controls,
+                        target: q,
+                        theta,
+                    },
+                    _ => Gate::McRz {
+                        controls,
+                        target: q,
+                        theta,
+                    },
+                }
+            }
+            _ => match rng.pick(12) {
+                0 => Gate::H(q),
+                1 => Gate::X(q),
+                2 => Gate::Y(q),
+                3 => Gate::Z(q),
+                4 => Gate::S(q),
+                5 => Gate::Sdg(q),
+                6 => Gate::T(q),
+                7 => Gate::Tdg(q),
+                8 => Gate::Phase { qubit: q, theta },
+                9 => Gate::Rx { qubit: q, theta },
+                10 => Gate::Ry { qubit: q, theta },
+                _ => Gate::Rz { qubit: q, theta },
+            },
+        }
+    }
+
+    #[test]
+    fn in_place_composition_is_bit_identical_to_the_dense_product() {
+        let mut rng = SplitMix(0x1234_5678_9abc_def0);
+        for case in 0..1500 {
+            // A sparse support: 1–4 distinct qubits of a 12-qubit register,
+            // which the gates address in random order.
+            let k = 1 + rng.pick(4);
+            let mut support: Vec<usize> = Vec::new();
+            while support.len() < k {
+                let q = rng.pick(12);
+                if !support.contains(&q) {
+                    support.push(q);
+                }
+            }
+            let gates: Vec<Gate> = (0..1 + rng.pick(12))
+                .map(|_| random_action_gate(&support, &mut rng))
+                .collect();
+            support.sort_unstable();
+            let dim = 1usize << k;
+            let mut product = CMatrix::identity(dim);
+            let mut composed = CMatrix::identity(dim);
+            for (gi, g) in gates.iter().enumerate() {
+                product = local_matrix(g, &support).matmul(&product);
+                compose_dense(g, &support, &mut composed);
+                for (e, (p, c)) in product.data().iter().zip(composed.data()).enumerate() {
+                    assert_eq!(
+                        (p.re.to_bits(), p.im.to_bits()),
+                        (c.re.to_bits(), c.im.to_bits()),
+                        "case {case}, gate {gi} ({g:?}) on {support:?}: entry {e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

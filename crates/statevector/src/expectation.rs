@@ -21,11 +21,12 @@
 //! [`GroupedPauliSum`] preprocesses a [`PauliSum`] once into those shared
 //! sweeps (satisfying the qubit-wise-commutation structure described in
 //! [`qwc_partition`]), then evaluates the whole sum in one pass per group.
-//! Sweeps run rayon-parallel above [`crate::parallel_threshold`] over
-//! fixed-size index chunks whose partial sums are combined in chunk order,
-//! so the result is **bit-identical** across thread counts and across the
-//! serial/parallel crossover — the same determinism contract as the fused
-//! gate kernels and the batched shot engine.
+//! Sweeps of at least [`crate::parallel_threshold`] amplitudes run
+//! rayon-parallel over fixed-size index chunks whose partial sums are
+//! combined in chunk order, so the result is **bit-identical** across
+//! thread counts and across the serial/parallel crossover — the same
+//! determinism contract as the fused gate kernels and the batched shot
+//! engine.
 //!
 //! The diagonal sweep is 4-wide ([`F64x4`] lanes): probabilities for an
 //! aligned index quad are computed once, the per-term parity sign needs a
@@ -229,9 +230,9 @@ impl GroupedPauliSum {
     /// amplitudes.
     ///
     /// For a Hermitian sum (real coefficients) the imaginary part is zero to
-    /// machine precision. Sweeps parallelize above
-    /// [`crate::parallel_threshold`] with bit-identical results across
-    /// thread counts.
+    /// machine precision. Sweeps parallelize from
+    /// [`crate::parallel_threshold`] amplitudes on, with bit-identical
+    /// results across thread counts.
     ///
     /// # Panics
     /// Panics when `amps.len() != 2^n` for the sum's register size.
@@ -628,7 +629,8 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_paths_are_bit_identical() {
-        // 13 qubits crosses the default rayon threshold.
+        // Both paths are forced through the threshold hook; 13 qubits is
+        // eight EXP_CHUNK partial sums.
         let mut rng = StdRng::seed_from_u64(3);
         let state = StateVector::random_state(13, &mut rng);
         let n = 13;

@@ -64,6 +64,26 @@ fn apply_run_tiled(amps: &mut [Complex64], tile: usize, parallel: bool, run: &[P
     }
 }
 
+/// Replays `prepared` over the amplitudes: each maximal run of ops that
+/// fit one tile goes tile by tile, each wider op sweeps the whole array.
+fn apply_prepared(amps: &mut [Complex64], prepared: &[Prepared], parallel: bool) {
+    let tile = TILE_AMPS.min(amps.len());
+    let mut i = 0;
+    while i < prepared.len() {
+        if prepared[i].span <= tile {
+            let mut j = i + 1;
+            while j < prepared.len() && prepared[j].span <= tile {
+                j += 1;
+            }
+            apply_run_tiled(amps, tile, parallel, &prepared[i..j]);
+            i = j;
+        } else {
+            prepared[i].apply_sweep(amps, parallel);
+            i += 1;
+        }
+    }
+}
+
 impl StateVector {
     /// Applies a pre-fused circuit (see [`Circuit::fused`]).
     ///
@@ -76,29 +96,14 @@ impl StateVector {
             "register size mismatch"
         );
         let n = self.num_qubits();
-        let dim = self.dim();
         let prepared: Vec<Prepared> = fused
             .ops()
             .iter()
             .map(|op| Prepared::build(n, op))
             .collect();
-        let parallel = sweep_parallel(dim);
-        let tile = TILE_AMPS.min(dim);
+        let parallel = sweep_parallel(self.dim());
         let amps = self.amplitudes_mut();
-        let mut i = 0;
-        while i < prepared.len() {
-            if prepared[i].span <= tile {
-                let mut j = i + 1;
-                while j < prepared.len() && prepared[j].span <= tile {
-                    j += 1;
-                }
-                apply_run_tiled(amps, tile, parallel, &prepared[i..j]);
-                i = j;
-            } else {
-                prepared[i].apply_sweep(amps, parallel);
-                i += 1;
-            }
-        }
+        apply_prepared(amps, &prepared, parallel);
         if fused.global_phase() != 0.0 {
             let p = Complex64::cis(fused.global_phase());
             for a in amps.iter_mut() {
@@ -135,17 +140,13 @@ impl StateVector {
     /// [`Self::apply_fused`] uses (without the run blocking, which needs a
     /// whole op sequence to pay off).
     pub fn apply_fused_op(&mut self, op: &FusedOp) {
-        let n = self.num_qubits();
-        let dim = self.dim();
-        let prepared = Prepared::build(n, op);
-        let parallel = sweep_parallel(dim);
-        let tile = TILE_AMPS.min(dim);
-        let amps = self.amplitudes_mut();
-        if prepared.span <= tile {
-            apply_run_tiled(amps, tile, parallel, std::slice::from_ref(&prepared));
-        } else {
-            prepared.apply_sweep(amps, parallel);
-        }
+        let prepared = Prepared::build(self.num_qubits(), op);
+        let parallel = sweep_parallel(self.dim());
+        apply_prepared(
+            self.amplitudes_mut(),
+            std::slice::from_ref(&prepared),
+            parallel,
+        );
     }
 }
 
@@ -290,7 +291,7 @@ mod tests {
 
     #[test]
     fn fused_matches_above_parallel_threshold() {
-        let n = 13; // crosses the default 4096-amplitude threshold
+        let n = crate::state::parallel_test_qubits();
         let c = mixed_circuit(n, 7);
         let mut rng = StdRng::seed_from_u64(99);
         let s0 = StateVector::random_state(n, &mut rng);
@@ -304,11 +305,11 @@ mod tests {
     #[test]
     fn forced_parallel_serial_and_tiled_sweeps_are_bit_identical() {
         // The determinism contract at the GHS_PARALLEL_THRESHOLD extremes:
-        // forcing every sweep parallel, forcing every sweep serial, and the
-        // production tiled replay must agree bit for bit — SIMD-laned
-        // kernels included, since the lanes mirror scalar operation order
-        // exactly (see `ghs_math` SIMD docs).
-        let n = 14; // two TILE_AMPS tiles, above the default rayon threshold
+        // forcing every sweep parallel, forcing every sweep serial, the
+        // tiled replay forced either way and the production path must agree
+        // bit for bit — SIMD-laned kernels included, since the lanes mirror
+        // scalar operation order exactly (see `ghs_math` SIMD docs).
+        let n = 14; // two TILE_AMPS tiles; both paths are forced below
         let c = mixed_circuit(n, 31);
         let fused = c.fused();
         let mut rng = StdRng::seed_from_u64(77);
@@ -324,28 +325,44 @@ mod tests {
             p.apply_sweep(serial.amplitudes_mut(), false);
             p.apply_sweep(parallel.amplitudes_mut(), true);
         }
-        // Match apply_fused's trailing global-phase pass on both copies.
+        let mut tiled_serial = s0.clone();
+        apply_prepared(tiled_serial.amplitudes_mut(), &prepared, false);
+        let mut tiled_parallel = s0.clone();
+        apply_prepared(tiled_parallel.amplitudes_mut(), &prepared, true);
+        // Match apply_fused's trailing global-phase pass on the forced copies.
         if fused.global_phase() != 0.0 {
             let ph = Complex64::cis(fused.global_phase());
-            for s in [&mut serial, &mut parallel] {
+            for s in [
+                &mut serial,
+                &mut parallel,
+                &mut tiled_serial,
+                &mut tiled_parallel,
+            ] {
                 for a in s.amplitudes_mut() {
                     *a *= ph;
                 }
             }
         }
-        let mut tiled = s0.clone();
-        tiled.apply_fused(&fused);
-        for (i, ((s, p), t)) in serial
-            .amplitudes()
-            .iter()
-            .zip(parallel.amplitudes())
-            .zip(tiled.amplitudes())
-            .enumerate()
-        {
-            assert_eq!(s.re.to_bits(), p.re.to_bits(), "re drift at {i} (parallel)");
-            assert_eq!(s.im.to_bits(), p.im.to_bits(), "im drift at {i} (parallel)");
-            assert_eq!(s.re.to_bits(), t.re.to_bits(), "re drift at {i} (tiled)");
-            assert_eq!(s.im.to_bits(), t.im.to_bits(), "im drift at {i} (tiled)");
+        let mut production = s0.clone();
+        production.apply_fused(&fused);
+        for (label, other) in [
+            ("parallel", &parallel),
+            ("tiled serial", &tiled_serial),
+            ("tiled parallel", &tiled_parallel),
+            ("production", &production),
+        ] {
+            for (i, (s, o)) in serial
+                .amplitudes()
+                .iter()
+                .zip(other.amplitudes())
+                .enumerate()
+            {
+                assert_eq!(
+                    (s.re.to_bits(), s.im.to_bits()),
+                    (o.re.to_bits(), o.im.to_bits()),
+                    "drift at {i} ({label})"
+                );
+            }
         }
     }
 
@@ -388,9 +405,10 @@ mod tests {
     #[test]
     fn high_bit_supports_run_exact_at_scale() {
         // Ops whose support includes qubit 0 (the most significant bit) take
-        // the index-space sweep path; pin it against the oracle above the
-        // parallel threshold, where the old engine fell back to one thread.
-        let n = 13;
+        // the index-space sweep path once the register exceeds one tile; pin
+        // it against the oracle at the parallel threshold, where the old
+        // engine fell back to one thread.
+        let n = crate::state::parallel_test_qubits();
         let mut c = Circuit::new(n);
         for q in 0..n {
             c.h(q);

@@ -142,10 +142,7 @@ impl SyncPtr {
 fn sweep_groups<F: Fn(usize) + Sync>(gmask: usize, parallel: bool, per_group: F) {
     let groups = 1usize << gmask.count_ones();
     let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(groups)
+        rayon::current_num_threads().min(groups)
     } else {
         1
     };
@@ -846,14 +843,7 @@ impl Prepared {
     /// when there is real parallelism to distribute. Both paths execute the
     /// same per-group arithmetic, so outputs are bit-identical.
     pub(crate) fn apply_sweep(&self, amps: &mut [Complex64], parallel: bool) {
-        let workers = if parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        if workers <= 1 {
+        if !parallel || rayon::current_num_threads() <= 1 {
             self.apply_local(0, amps);
             return;
         }

@@ -11,7 +11,8 @@
 //!
 //! Batches are drawn in fixed-size chunks whose RNG streams are derived
 //! deterministically from the batch seed and the chunk index. Chunks run
-//! rayon-parallel above [`crate::parallel_threshold`], and because the
+//! rayon-parallel from a quarter of [`crate::parallel_threshold`] shots
+//! (a draw costs about four swept amplitudes), and because the
 //! per-chunk derivation does not depend on the number of worker threads the
 //! output is **bit-identical** across runs, core counts, and the
 //! serial/parallel crossover.
@@ -26,6 +27,13 @@ use rayon::prelude::*;
 
 /// Shots per deterministic RNG chunk of a batched draw.
 const SHOT_CHUNK: usize = 4096;
+
+/// Amplitudes of a sweep that one shot is worth against
+/// [`crate::parallel_threshold`]: a draw (two random numbers and a table
+/// lookup) costs about as much as four amplitudes of a fused sweep, so
+/// batches go parallel from a quarter of the amplitude threshold (the
+/// `shots` row of `ghs_bench`'s `crossover` binary).
+const AMPS_PER_SHOT: usize = 4;
 
 /// A probability distribution over basis states, preprocessed for O(1)
 /// per-shot sampling (Vose's alias method).
@@ -136,7 +144,7 @@ impl CachedDistribution {
                 *slot = self.draw(&mut rng);
             }
         };
-        if shots > SHOT_CHUNK && shots >= parallel_threshold() {
+        if shots > SHOT_CHUNK && shots >= parallel_threshold() / AMPS_PER_SHOT {
             out.par_chunks_mut(SHOT_CHUNK)
                 .enumerate()
                 .for_each(|(ci, chunk)| fill(ci, chunk));
@@ -211,10 +219,13 @@ mod tests {
     fn chunk_boundaries_do_not_depend_on_parallelism() {
         // A batch spanning several chunks must be the concatenation of the
         // chunk streams regardless of how it is scheduled: drawing a prefix
-        // yields the prefix of the longer batch.
+        // yields the prefix of the longer batch. The long batch is sized to
+        // reach the parallel gate at the default threshold, the short one is
+        // a single serial chunk.
         let mut rng = StdRng::seed_from_u64(10);
         let state = StateVector::random_state(4, &mut rng);
-        let long = state.sample_cached(3 * SHOT_CHUNK + 17, 7);
+        let long_shots = crate::state::DEFAULT_PARALLEL_THRESHOLD / AMPS_PER_SHOT + 17;
+        let long = state.sample_cached(long_shots, 7);
         let short = state.sample_cached(SHOT_CHUNK, 7);
         assert_eq!(&long[..SHOT_CHUNK], &short[..]);
     }

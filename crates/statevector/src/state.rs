@@ -15,15 +15,19 @@ use rand::Rng;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
-/// Default number of amplitudes above which gate kernels switch to rayon.
-const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 12;
+/// Default number of amplitudes from which kernels switch to rayon: the
+/// serial-vs-parallel crossover that `ghs_bench`'s `crossover` binary
+/// measured on a 2-vCPU host (see the README's *Tuning* section).
+pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 16;
 
-/// Number of amplitudes above which gate kernels switch to rayon.
+/// Number of amplitudes from which the per-gate kernels, the fused sweeps,
+/// the sharded engine and the expectation and gradient reductions switch to
+/// rayon (the batched sampler weighs each shot as several amplitudes).
 ///
 /// Overridable via the `GHS_PARALLEL_THRESHOLD` environment variable (read
-/// once per process): raise it on laptops where thread spawn overhead
-/// dominates small registers, lower it on many-core CI runners. Unparsable or
-/// missing values fall back to the built-in default of 4096.
+/// once per process): raise it where thread spawn overhead dominates, lower
+/// it on many-core runners. Unparsable or missing values fall back to the
+/// built-in default of 65536 (2¹⁶).
 pub fn parallel_threshold() -> usize {
     static THRESHOLD: OnceLock<usize> = OnceLock::new();
     *THRESHOLD.get_or_init(|| {
@@ -32,6 +36,18 @@ pub fn parallel_threshold() -> usize {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or(DEFAULT_PARALLEL_THRESHOLD)
     })
+}
+
+/// Register size for tests that must reach the parallel kernels: the
+/// smallest register at [`parallel_threshold`], at least 14 qubits (two
+/// fused tiles) and at most the default threshold's size, so a
+/// serial-forcing override (`usize::MAX`) does not blow the test up.
+#[cfg(test)]
+pub(crate) fn parallel_test_qubits() -> usize {
+    let at_default = DEFAULT_PARALLEL_THRESHOLD.trailing_zeros() as usize;
+    (14.min(at_default)..at_default)
+        .find(|&n| 1usize << n >= parallel_threshold())
+        .unwrap_or(at_default)
 }
 
 /// Folds control/key conditions into one `(mask, value)` pair so an index
@@ -596,8 +612,8 @@ mod tests {
 
     #[test]
     fn parallel_threshold_path_matches_small_path() {
-        // 13 qubits crosses the rayon threshold; verify a known outcome.
-        let n = 13;
+        // A register at the parallel threshold runs the rayon kernels.
+        let n = parallel_test_qubits();
         let mut c = Circuit::new(n);
         for q in 0..n {
             c.h(q);

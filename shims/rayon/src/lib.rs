@@ -3,15 +3,18 @@
 //! The build environment of this repository has no network access, so the
 //! real rayon cannot be fetched from crates.io. This shim implements the
 //! subset of rayon's API that the workspace actually uses — `par_iter_mut`
-//! and `par_chunks_mut` on slices, followed by `enumerate`/`for_each` — with
-//! genuine data parallelism built on [`std::thread::scope`]. Work is split
-//! into one contiguous run of blocks per available core, so the hot
-//! state-vector and matmul kernels still scale with hardware threads.
+//! and `par_chunks_mut` on slices, followed by `enumerate`/`for_each`, and
+//! [`current_num_threads`] — with genuine data parallelism built on
+//! [`std::thread::scope`]. Work is split into one contiguous run of blocks
+//! per available core, so the hot state-vector and matmul kernels still
+//! scale with hardware threads.
 //!
 //! Swapping the real rayon back in is a one-line change in the workspace
 //! manifest; no call sites need to change.
 
 #![warn(missing_docs)]
+
+use std::sync::OnceLock;
 
 /// The traits that make `par_iter_mut` / `par_chunks_mut` available on
 /// slices, mirroring `rayon::prelude`.
@@ -19,10 +22,19 @@ pub mod prelude {
     pub use crate::ParallelSliceMut;
 }
 
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Number of worker threads a parallel call splits its work across, like
+/// rayon's `current_num_threads()` for the global pool.
+///
+/// Computed once per process: `available_parallelism()` reads cgroup files
+/// on Linux, which costs microseconds per call — too much to pay on every
+/// `par_*` call and every kernel dispatch.
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Splits `slice` into whole `block`-sized chunks, hands one contiguous run
@@ -34,7 +46,7 @@ where
 {
     assert!(block > 0, "chunk size must be non-zero");
     let total_blocks = slice.len().div_ceil(block);
-    let threads = num_threads().min(total_blocks).max(1);
+    let threads = current_num_threads().min(total_blocks).max(1);
     if threads <= 1 {
         for (i, chunk) in slice.chunks_mut(block).enumerate() {
             f(i, chunk);
@@ -97,7 +109,7 @@ impl<T: Send> ParIterMutEnumerate<'_, T> {
     {
         // Group elements into cache-friendly runs so thread-spawn overhead is
         // amortised over many elements.
-        let run = self.slice.len().div_ceil(num_threads()).max(1);
+        let run = self.slice.len().div_ceil(current_num_threads()).max(1);
         run_on_blocks(self.slice, run, |block_idx, chunk| {
             let base = block_idx * run;
             for (k, item) in chunk.iter_mut().enumerate() {
@@ -203,6 +215,56 @@ mod tests {
                     }
                 }
                 assert_eq!(par, seq, "len={len} block={block}");
+            }
+        }
+    }
+
+    #[test]
+    fn current_num_threads_is_positive_and_stable() {
+        let n = super::current_num_threads();
+        assert!(n >= 1);
+        for _ in 0..8 {
+            assert_eq!(super::current_num_threads(), n);
+        }
+    }
+
+    #[test]
+    fn panic_in_closure_reaches_the_caller_and_the_shim_keeps_working() {
+        for len in [1usize, 10_000] {
+            let caught = std::panic::catch_unwind(|| {
+                let mut v = vec![0usize; len];
+                v.par_iter_mut().enumerate().for_each(|(i, x)| {
+                    if i == len - 1 {
+                        panic!("boom");
+                    }
+                    *x = i;
+                });
+            });
+            assert!(caught.is_err(), "len={len}: the panic must propagate");
+            let caught = std::panic::catch_unwind(|| {
+                let mut v = vec![0usize; len];
+                v.par_chunks_mut(7).for_each(|_| panic!("boom"));
+            });
+            assert!(caught.is_err(), "len={len}: the panic must propagate");
+        }
+        let mut v = vec![0usize; 10_000];
+        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i));
+    }
+
+    #[test]
+    fn nested_parallel_calls_complete() {
+        let mut rows = vec![vec![0usize; 1000]; 16];
+        rows.par_iter_mut().enumerate().for_each(|(r, row)| {
+            row.par_chunks_mut(10).enumerate().for_each(|(ci, chunk)| {
+                for x in chunk {
+                    *x = r * 100 + ci;
+                }
+            });
+        });
+        for (r, row) in rows.iter().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                assert_eq!(x, r * 100 + j / 10);
             }
         }
     }

@@ -110,13 +110,15 @@ fn sample_frequencies_converge_identically_across_backends() {
 fn batched_shots_are_prefix_stable_and_seed_sensitive() {
     let c = random_circuit(5, 25, 7);
     let zero = InitialState::ZeroState;
-    let long = FusedStatevector.sample(&zero, &c, 6000, 1).unwrap();
+    // 16 401 shots reach the sampler's parallel gate (a quarter of the
+    // default 2¹⁶-amplitude threshold); 4096 shots are one serial chunk.
+    let long = FusedStatevector.sample(&zero, &c, 16_401, 1).unwrap();
     // A shorter batch under the same seed is a prefix of the longer one
     // (chunk streams depend only on (seed, chunk index)).
     let short = FusedStatevector.sample(&zero, &c, 4096, 1).unwrap();
     assert_eq!(&long[..4096], &short[..]);
     // A different seed gives a different stream.
-    assert_ne!(long, FusedStatevector.sample(&zero, &c, 6000, 2).unwrap());
+    assert_ne!(long, FusedStatevector.sample(&zero, &c, 16_401, 2).unwrap());
 }
 
 #[test]

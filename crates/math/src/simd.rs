@@ -37,12 +37,6 @@ impl F64x4 {
     pub fn zero() -> Self {
         F64x4([0.0; 4])
     }
-
-    /// Sum of the four lanes, left to right.
-    #[inline(always)]
-    pub fn reduce_add(self) -> f64 {
-        ((self.0[0] + self.0[1]) + self.0[2]) + self.0[3]
-    }
 }
 
 impl Add for F64x4 {
@@ -222,12 +216,5 @@ mod tests {
         let v = [c64(1.0, 2.0), c64(3.0, 4.0), c64(5.0, 6.0), c64(7.0, 8.0)];
         let lanes = C64x4::gather(v[0], v[1], v[2], v[3]);
         assert_eq!(lanes.scatter(), v);
-    }
-
-    #[test]
-    fn reduce_add_is_left_to_right() {
-        let v = F64x4([1.0e16, 1.0, -1.0e16, 2.0]);
-        // ((1e16 + 1) + -1e16) + 2 — the +1 is absorbed at 1e16 scale.
-        assert_eq!(v.reduce_add(), ((1.0e16 + 1.0) + -1.0e16) + 2.0);
     }
 }

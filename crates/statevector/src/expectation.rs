@@ -28,13 +28,30 @@
 //! determinism contract as the fused gate kernels and the batched shot
 //! engine.
 //!
-//! The diagonal sweep is 4-wide ([`F64x4`] lanes): probabilities for an
-//! aligned index quad are computed once, the per-term parity sign needs a
-//! single popcount per quad (the two low index bits contribute a
-//! precomputed per-lane pattern), and contributions accumulate into
-//! per-term lane registers reduced left-to-right at each chunk boundary —
-//! a fixed summation order, so the determinism contract above is
-//! unaffected.
+//! The diagonal sweep reads all `D` diagonal strings at once through
+//! blocked fast Walsh–Hadamard transforms. Write an index as `j = b + r`,
+//! with `b` a multiple of the block length `2^w` and `r < 2^w`. Then
+//! `(−1)^{popcount(j ∧ z)} = (−1)^{popcount(b ∧ z)}·(−1)^{popcount(r ∧ z)}`,
+//! so a string's parity-signed sum over one block is entry `z mod 2^w` of
+//! the block's transform `p̂[k] = Σ_r (−1)^{popcount(r ∧ k)}·p_{b+r}`, times
+//! the constant sign its high bits give it. One in-place transform per
+//! block (`w·2^{w−1}` butterflies) serves every string, and each string
+//! then costs one read per block: `O(2^n·w/2 + D·2^{n−w})` in place of the
+//! `O(D·2^n)` of one parity pass per string. The block exponent `w` is
+//! `⌈log₂ D⌉ + 2`, clamped to `[3, log₂ EXP_CHUNK]` and to the register
+//! (see `diagonal_block_exponent`), so blocks never straddle a chunk.
+//! [`GroupedPauliSum::apply`] runs the transform the other way: each
+//! string's coefficient, signed by the block's high bits, lands on entry
+//! `z mod 2^w` of a block vector whose transform is the sum's diagonal on
+//! that block, and the block writes `diagonal·ψ` before the flip groups add
+//! their part.
+//!
+//! Both transforms are deterministic functions of the block: the butterfly
+//! order is fixed, a chunk adds its blocks' reads in index order, and the
+//! chunk partials combine in chunk order as above, so the determinism
+//! contract holds for the diagonal batch too. Its results may differ from
+//! a per-string parity sweep in the last bits, because the additions are
+//! grouped differently.
 //!
 //! The sparse path ([`StateVector::expectation_sparse`]) stays available as
 //! the slow, obviously-correct oracle the property tests compare against.
@@ -55,9 +72,10 @@
 //! ```
 
 use crate::state::{parallel_threshold, StateVector};
-use ghs_math::{Complex64, F64x4};
+use ghs_math::Complex64;
 use ghs_operators::{PauliOp, PauliString, PauliSum};
 use rayon::prelude::*;
+use std::ops::{Add, Sub};
 use std::sync::OnceLock;
 
 /// Amplitudes (or amplitude pairs) per deterministic partial-sum chunk.
@@ -68,6 +86,44 @@ use std::sync::OnceLock;
 /// register at the default parallel threshold still splits into several
 /// chunks.
 const EXP_CHUNK: usize = 1 << 10;
+
+/// The diagonal sweep's block exponent `w` for `num_diagonal` strings on
+/// `num_qubits` qubits: `⌈log₂ D⌉ + 2`, clamped to `[3, log₂ EXP_CHUNK]`
+/// and to the register. A string's read per block (a parity, a gather and
+/// a signed add) costs several butterflies, so blocks of about `4·D`
+/// entries balance the transform against the reads; below 8 entries the
+/// per-block loop costs more than the transform saves. On the
+/// `diagonal_readout` bench of `ghs_bench` this rule read up to twice as
+/// fast as `⌈log₂ D⌉` (with a floor of 2) for `D ≤ 8`, and the same from
+/// `D = 16` on.
+fn diagonal_block_exponent(num_diagonal: usize, num_qubits: usize) -> u32 {
+    (num_diagonal.next_power_of_two().trailing_zeros() + 2)
+        .clamp(3, EXP_CHUNK.trailing_zeros())
+        .min(num_qubits as u32)
+}
+
+/// Calls `$kernel::<B>(args…)` with the block length `B = 2^w` for a
+/// block exponent `w ≤ log₂ EXP_CHUNK` known only at run time, so every
+/// block kernel works on fixed-size stack arrays the compiler unrolls.
+macro_rules! with_block {
+    ($w:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $w {
+            0 => $kernel::<1>($($arg),*),
+            1 => $kernel::<2>($($arg),*),
+            2 => $kernel::<4>($($arg),*),
+            3 => $kernel::<8>($($arg),*),
+            4 => $kernel::<16>($($arg),*),
+            5 => $kernel::<32>($($arg),*),
+            6 => $kernel::<64>($($arg),*),
+            7 => $kernel::<128>($($arg),*),
+            8 => $kernel::<256>($($arg),*),
+            9 => $kernel::<512>($($arg),*),
+            _ => $kernel::<1024>($($arg),*),
+        }
+    };
+}
+// `with_block!` covers block exponents up to log₂ EXP_CHUNK.
+const _: () = assert!(EXP_CHUNK == 1 << 10);
 
 /// One diagonal (`I`/`Z`-only) string: a parity-signed probability sum.
 #[derive(Clone, Copy, Debug)]
@@ -111,10 +167,14 @@ struct FlipGroup {
 /// A [`PauliSum`] preprocessed for matrix-free, single-sweep-per-group
 /// expectation evaluation.
 ///
-/// Construction is `O(T·n)` (mask extraction plus grouping); evaluation is
-/// one shared sweep for *all* diagonal strings plus one gather sweep per
-/// distinct flip mask — `O(G·2^n)` with `G` the number of groups, no
-/// allocation proportional to `2^n`, and no operator matrix anywhere.
+/// Construction is `O(T·n)` (mask extraction plus grouping). Evaluation is
+/// one shared sweep for the `D` diagonal strings plus one gather sweep per
+/// distinct flip mask, with no allocation proportional to `2^n` and no
+/// operator matrix anywhere. The diagonal sweep Walsh–Hadamard transforms
+/// blocks of `2^w` probabilities, `w = ⌈log₂ D⌉ + 2` clamped to
+/// `[3, 10]` and to the register, and costs `O(2^n·w/2 + D·2^{n−w})`
+/// instead of the `O(D·2^n)` of one parity pass per string. A flip group
+/// of `T_g` strings costs `O(T_g·2^{n−1})`.
 ///
 /// See the module docs for the kernel derivation and the determinism
 /// contract.
@@ -128,6 +188,8 @@ pub struct GroupedPauliSum {
     /// evaluation paths never need it.
     num_settings: OnceLock<usize>,
     diagonal: Vec<DiagonalTerm>,
+    /// `w`: the diagonal sweep transforms blocks of `2^w` amplitudes.
+    log_block: u32,
     flips: Vec<FlipGroup>,
 }
 
@@ -173,11 +235,13 @@ impl GroupedPauliSum {
                 }),
             }
         }
+        let log_block = diagonal_block_exponent(diagonal.len(), sum.num_qubits());
         Self {
             num_qubits: sum.num_qubits(),
             term_masks,
             num_settings: OnceLock::new(),
             diagonal,
+            log_block,
             flips,
         }
     }
@@ -258,61 +322,13 @@ impl GroupedPauliSum {
 
         if !self.diagonal.is_empty() {
             let terms = &self.diagonal;
-            // Per-term lane precomputation for the 4-wide sweep below: over
-            // an aligned index quad `j..j+4` only the two low index bits
-            // vary, so each lane's parity sign is the quad's shared parity
-            // (one popcount with the low bits masked off) XOR a constant
-            // per-lane pattern derived from the low two `z_mask` bits.
-            let lane_flips: Vec<(usize, [u64; 4])> = terms
-                .iter()
-                .map(|t| {
-                    let b0 = ((t.z_mask as u64) & 1) << 63;
-                    let b1 = (((t.z_mask as u64) >> 1) & 1) << 63;
-                    (t.z_mask & !3, [0, b0, b1, b0 ^ b1])
-                })
-                .collect();
             let sums = chunked_partials(amps.len(), terms.len(), parallel, |chunk, out| {
                 let base = chunk * EXP_CHUNK;
                 let end = (base + EXP_CHUNK).min(amps.len());
-                // 4-wide Z-parity sweep: probability lanes once per quad,
-                // one parity popcount per (quad, term), vector adds into
-                // per-term lane accumulators. The lane partials are reduced
-                // left-to-right ([`F64x4::reduce_add`]) before the scalar
-                // tail, so the summation order is fixed and results stay
-                // bit-identical across thread counts.
-                let quads_end = base + ((end - base) & !3);
-                let mut lanes = vec![F64x4::zero(); terms.len()];
-                let mut j = base;
-                while j < quads_end {
-                    let p = F64x4([
-                        amps[j].norm_sqr(),
-                        amps[j + 1].norm_sqr(),
-                        amps[j + 2].norm_sqr(),
-                        amps[j + 3].norm_sqr(),
-                    ]);
-                    for ((zm_hi, pat), l) in lane_flips.iter().zip(lanes.iter_mut()) {
-                        let b = (((j & zm_hi).count_ones() & 1) as u64) << 63;
-                        // Branch-free parity signs: flip the IEEE sign bits.
-                        *l += F64x4([
-                            f64::from_bits(p.0[0].to_bits() ^ (b ^ pat[0])),
-                            f64::from_bits(p.0[1].to_bits() ^ (b ^ pat[1])),
-                            f64::from_bits(p.0[2].to_bits() ^ (b ^ pat[2])),
-                            f64::from_bits(p.0[3].to_bits() ^ (b ^ pat[3])),
-                        ]);
-                    }
-                    j += 4;
-                }
-                for (l, o) in lanes.into_iter().zip(out.iter_mut()) {
-                    *o = l.reduce_add();
-                }
-                // Scalar tail for registers smaller than one quad.
-                for j in quads_end..end {
-                    let p = amps[j].norm_sqr();
-                    for (term, o) in terms.iter().zip(out.iter_mut()) {
-                        let flip = (((j & term.z_mask).count_ones() & 1) as u64) << 63;
-                        *o += f64::from_bits(p.to_bits() ^ flip);
-                    }
-                }
+                with_block!(
+                    self.log_block,
+                    diagonal_partials(&amps[base..end], base, terms, out)
+                );
             });
             for (term, s) in terms.iter().zip(&sums) {
                 acc += term.coeff * *s;
@@ -336,8 +352,7 @@ impl GroupedPauliSum {
                     for (term, o) in terms.iter().zip(out.iter_mut()) {
                         let v = term.sign * components[term.component];
                         // Branch-free parity sign: flip the IEEE sign bit.
-                        let flip = (((j & term.z_mask).count_ones() & 1) as u64) << 63;
-                        *o += f64::from_bits(v.to_bits() ^ flip);
+                        *o += f64::from_bits(v.to_bits() ^ parity_flip(j, term.z_mask));
                     }
                 }
             });
@@ -352,11 +367,14 @@ impl GroupedPauliSum {
     ///
     /// This is the observable-application primitive of the adjoint gradient
     /// engine (`λ = H|ψ⟩` seeds the reverse sweep, see
-    /// [`crate::gradient::adjoint_gradient`]). Each output amplitude is
+    /// [`crate::gradient::adjoint_gradient`]). Each output chunk is
     /// assembled independently from the string masks —
-    /// `P|j⟩ = i^{#Y}·(−1)^{popcount(j ∧ z)}·|j ⊕ x⟩` — so the sweep
-    /// parallelizes over output chunks with bit-identical results across
-    /// thread counts (no cross-chunk accumulation exists to reorder).
+    /// `P|j⟩ = i^{#Y}·(−1)^{popcount(j ∧ z)}·|j ⊕ x⟩` — the diagonal strings
+    /// through one Walsh–Hadamard transform of their signed coefficients
+    /// per block (see the module docs), then the flip groups amplitude by
+    /// amplitude. The sweep therefore parallelizes over output chunks with
+    /// bit-identical results across thread counts (no cross-chunk
+    /// accumulation exists to reorder).
     ///
     /// # Panics
     /// Panics when `amps.len() != 2^n` for the sum's register size.
@@ -399,18 +417,16 @@ impl GroupedPauliSum {
         let diagonal = &self.diagonal;
         let mut out = vec![Complex64::ZERO; amps.len()];
         let kernel = |base: usize, chunk: &mut [Complex64]| {
+            if !diagonal.is_empty() {
+                let a = &amps[base..base + chunk.len()];
+                with_block!(self.log_block, diagonal_apply(a, base, diagonal, chunk));
+            }
+            if groups.is_empty() {
+                return;
+            }
             for (k, o) in chunk.iter_mut().enumerate() {
                 let i = base + k;
-                let mut acc = Complex64::ZERO;
-                let ai = amps[i];
-                for t in diagonal {
-                    let v = t.coeff * ai;
-                    acc += if (i & t.z_mask).count_ones() & 1 == 1 {
-                        -v
-                    } else {
-                        v
-                    };
-                }
+                let mut acc = *o;
                 for g in &groups {
                     let j = i ^ g.x_mask;
                     let aj = amps[j];
@@ -445,6 +461,104 @@ impl StateVector {
     /// [`StateVector::expectation_sparse`] remains the oracle.
     pub fn expectation_grouped(&self, observable: &GroupedPauliSum) -> Complex64 {
         observable.expectation(self.amplitudes())
+    }
+}
+
+/// In-place unnormalized Walsh–Hadamard transform of a block:
+/// `v[k] ← Σ_r (−1)^{popcount(r ∧ k)}·v[r]`, one butterfly stage per index
+/// bit, lowest bit first. Stages go in pairs (radix 4), so a block of
+/// `2^w` entries takes `⌈w/2⌉` passes.
+#[inline(always)]
+fn walsh_hadamard<T, const B: usize>(v: &mut [T; B])
+where
+    T: Copy + Add<Output = T> + Sub<Output = T>,
+{
+    let mut h = 1;
+    while 4 * h <= B {
+        for quad in v.chunks_exact_mut(4 * h) {
+            let (a, rest) = quad.split_at_mut(h);
+            let (b, rest) = rest.split_at_mut(h);
+            let (c, d) = rest.split_at_mut(h);
+            for j in 0..h {
+                let (s0, d0) = (a[j] + b[j], a[j] - b[j]);
+                let (s1, d1) = (c[j] + d[j], c[j] - d[j]);
+                a[j] = s0 + s1;
+                b[j] = d0 + d1;
+                c[j] = s0 - s1;
+                d[j] = d0 - d1;
+            }
+        }
+        h *= 4;
+    }
+    if 2 * h == B {
+        let (lo, hi) = v.split_at_mut(h);
+        for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+            let (a, b) = (*x, *y);
+            *x = a + b;
+            *y = a - b;
+        }
+    }
+}
+
+/// `(−1)^{popcount(index ∧ z_mask)}` as an IEEE sign-bit pattern.
+#[inline(always)]
+fn parity_flip(index: usize, z_mask: usize) -> u64 {
+    (((index & z_mask).count_ones() & 1) as u64) << 63
+}
+
+/// Adds the parity-signed probability sums of every diagonal term over the
+/// chunk `amps` (starting at index `base`) to `out`. Block by block, the
+/// `B` probabilities are Walsh–Hadamard transformed in place; entry
+/// `z & (B − 1)` is then the term's sum over the block's low index bits,
+/// and the block's high bits contribute the constant sign
+/// `(−1)^{popcount(block_base ∧ z)}`. Blocks are added in index order.
+fn diagonal_partials<const B: usize>(
+    amps: &[Complex64],
+    base: usize,
+    terms: &[DiagonalTerm],
+    out: &mut [f64],
+) {
+    for (k, block) in amps.chunks_exact(B).enumerate() {
+        let block: &[Complex64; B] = block.try_into().expect("chunks_exact yields B entries");
+        let mut p: [f64; B] = std::array::from_fn(|r| block[r].norm_sqr());
+        walsh_hadamard(&mut p);
+        let block_base = base + k * B;
+        for (t, o) in terms.iter().zip(out.iter_mut()) {
+            let v = p[t.z_mask & (B - 1)];
+            *o += f64::from_bits(v.to_bits() ^ parity_flip(block_base, t.z_mask));
+        }
+    }
+}
+
+/// Writes `d·ψ` for the diagonal part `d` of the sum over the chunk `amps`
+/// (starting at index `base`) into `out`. Per block, each term's
+/// coefficient, signed by the block's high bits, lands on entry
+/// `z & (B − 1)`; the Walsh–Hadamard transform of that vector is `d` on
+/// the block.
+fn diagonal_apply<const B: usize>(
+    amps: &[Complex64],
+    base: usize,
+    terms: &[DiagonalTerm],
+    out: &mut [Complex64],
+) {
+    for (k, (a, o)) in amps
+        .chunks_exact(B)
+        .zip(out.chunks_exact_mut(B))
+        .enumerate()
+    {
+        let block_base = base + k * B;
+        let mut d = [Complex64::ZERO; B];
+        for t in terms {
+            d[t.z_mask & (B - 1)] += if parity_flip(block_base, t.z_mask) != 0 {
+                -t.coeff
+            } else {
+                t.coeff
+            };
+        }
+        walsh_hadamard(&mut d);
+        for ((o, a), d) in o.iter_mut().zip(a).zip(&d) {
+            *o = *d * *a;
+        }
     }
 }
 
@@ -555,6 +669,7 @@ pub fn qwc_signature(sum: &PauliSum, group: &[usize]) -> Vec<(usize, PauliOp)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{random_pauli_sum, random_state, PauliSumKind};
     use ghs_math::c64;
     use ghs_operators::PauliString;
     use rand::rngs::StdRng;
@@ -729,6 +844,66 @@ mod tests {
             assert_eq!(s.re.to_bits(), p.re.to_bits());
             assert_eq!(s.im.to_bits(), p.im.to_bits());
         }
+    }
+
+    /// `diagonal` random Z-strings plus `flips` random mixed strings on `n`
+    /// qubits.
+    fn diagonal_plus_mixed(n: usize, diagonal: usize, flips: usize, seed: u64) -> PauliSum {
+        let mut terms = random_pauli_sum(n, diagonal, PauliSumKind::Diagonal, seed)
+            .terms()
+            .to_vec();
+        terms.extend_from_slice(random_pauli_sum(n, flips, PauliSumKind::Mixed, !seed).terms());
+        PauliSum::from_terms(n, terms)
+    }
+
+    #[test]
+    fn every_block_exponent_matches_the_oracles_across_chunks() {
+        // 11–14 qubits are 2–16 EXP_CHUNK chunks, so the block signs take
+        // index bits above the chunk as well as inside it.
+        for w in 3u32..=10 {
+            // A diagonal count in the middle of the range that selects w.
+            let diagonal = if w == 3 { 2 } else { 3 << (w - 4) };
+            let n = 14 - (w as usize - 3) % 4;
+            for flips in [0, 6] {
+                let seed = u64::from(w) * 31 + flips as u64;
+                let sum = diagonal_plus_mixed(n, diagonal, flips, seed);
+                let grouped = GroupedPauliSum::new(&sum);
+                assert_eq!(grouped.log_block, w, "n={n}, {diagonal} Z-strings");
+                let state = random_state(n, seed ^ 0xa11);
+                let amps = state.amplitudes();
+                let sparse = sum.sparse_matrix();
+                let oracle = state.expectation_sparse(&sparse);
+                let serial = grouped.expectation_with_threshold(amps, usize::MAX);
+                assert!(
+                    (serial - oracle).abs() < 1e-12,
+                    "w={w}: {serial} vs {oracle}"
+                );
+                let parallel = grouped.expectation_with_threshold(amps, 0);
+                assert_eq!(serial.re.to_bits(), parallel.re.to_bits(), "w={w}");
+                assert_eq!(serial.im.to_bits(), parallel.im.to_bits(), "w={w}");
+                let applied = grouped.apply_with_threshold(amps, usize::MAX);
+                for (f, o) in applied.iter().zip(sparse.matvec(amps)) {
+                    assert!((*f - o).abs() < 1e-12, "w={w}: {f} vs {o}");
+                }
+                let applied_parallel = grouped.apply_with_threshold(amps, 0);
+                for (s, p) in applied.iter().zip(&applied_parallel) {
+                    assert_eq!(s.re.to_bits(), p.re.to_bits(), "w={w}");
+                    assert_eq!(s.im.to_bits(), p.im.to_bits(), "w={w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_exponent_follows_the_term_count_and_the_register() {
+        let w = |d, n| diagonal_block_exponent(d, n);
+        assert_eq!([w(0, 16), w(1, 16), w(2, 16), w(3, 16)], [3, 3, 3, 4]);
+        assert_eq!(
+            [w(116, 16), w(128, 16), w(129, 16), w(5000, 16)],
+            [9, 9, 10, 10]
+        );
+        // Blocks never outgrow the register.
+        assert_eq!([w(116, 1), w(116, 2), w(1, 2), w(116, 5)], [1, 2, 2, 5]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   (ranges of group ranks) rather than slicing the amplitude array — so an
 //!   op whose support includes qubit 0 (the most significant bit, whose
 //!   groups interleave across the entire state) fans out across worker
-//!   threads like any other op;
+//!   threads like any other op. That split runs scalar per-group code, so
+//!   ops other than permutations take it only from four times the parallel
+//!   threshold; below, their laned serial sweep is faster;
 //! * the hot inner loops process four groups per iteration in split
 //!   real/imaginary SIMD lanes ([`ghs_math::C64x4`]), with scalar remainder
 //!   paths that are bit-identical by construction (see `crate::kernels`).
@@ -23,7 +25,7 @@
 //! workspace; [`StateVector::run_unfused`] keeps the per-gate path alive as
 //! the correctness oracle (see `tests/property_based.rs`).
 
-use crate::kernels::{sweep_parallel, Prepared};
+use crate::kernels::{sweep_parallel, wide_sweep_parallel, Prepared};
 use crate::state::StateVector;
 use ghs_circuit::{Circuit, FusedCircuit, FusedOp};
 use ghs_math::Complex64;
@@ -40,6 +42,25 @@ pub const FUSED_MIN_DIM: usize = 1 << 10;
 /// 2¹³ amplitudes = 128 KiB, sized so one tile plus the gather buffers stays
 /// resident in L2 while a whole run of ops streams over it.
 pub(crate) const TILE_AMPS: usize = 1 << 13;
+
+/// Which paths of [`apply_prepared`] use worker threads.
+#[derive(Clone, Copy)]
+struct Split {
+    /// Runs of tile-sized ops (one tile per task) and wide permutations.
+    parallel: bool,
+    /// Every other op wider than a tile, through the index-space split.
+    wide: bool,
+}
+
+impl Split {
+    /// The production choice for a register of `dim` amplitudes.
+    fn for_dim(dim: usize) -> Self {
+        Split {
+            parallel: sweep_parallel(dim),
+            wide: wide_sweep_parallel(dim),
+        }
+    }
+}
 
 /// Replays `run` over the amplitudes one tile at a time. Each tile sees
 /// every op of the run before the next tile is touched; `base` resolves
@@ -66,7 +87,7 @@ fn apply_run_tiled(amps: &mut [Complex64], tile: usize, parallel: bool, run: &[P
 
 /// Replays `prepared` over the amplitudes: each maximal run of ops that
 /// fit one tile goes tile by tile, each wider op sweeps the whole array.
-fn apply_prepared(amps: &mut [Complex64], prepared: &[Prepared], parallel: bool) {
+fn apply_prepared(amps: &mut [Complex64], prepared: &[Prepared], split: Split) {
     let tile = TILE_AMPS.min(amps.len());
     let mut i = 0;
     while i < prepared.len() {
@@ -75,10 +96,11 @@ fn apply_prepared(amps: &mut [Complex64], prepared: &[Prepared], parallel: bool)
             while j < prepared.len() && prepared[j].span <= tile {
                 j += 1;
             }
-            apply_run_tiled(amps, tile, parallel, &prepared[i..j]);
+            apply_run_tiled(amps, tile, split.parallel, &prepared[i..j]);
             i = j;
         } else {
-            prepared[i].apply_sweep(amps, parallel);
+            let op = &prepared[i];
+            op.apply_sweep(amps, split.parallel && (op.is_permutation() || split.wide));
             i += 1;
         }
     }
@@ -101,9 +123,9 @@ impl StateVector {
             .iter()
             .map(|op| Prepared::build(n, op))
             .collect();
-        let parallel = sweep_parallel(self.dim());
+        let split = Split::for_dim(self.dim());
         let amps = self.amplitudes_mut();
-        apply_prepared(amps, &prepared, parallel);
+        apply_prepared(amps, &prepared, split);
         if fused.global_phase() != 0.0 {
             let p = Complex64::cis(fused.global_phase());
             for a in amps.iter_mut() {
@@ -141,11 +163,11 @@ impl StateVector {
     /// whole op sequence to pay off).
     pub fn apply_fused_op(&mut self, op: &FusedOp) {
         let prepared = Prepared::build(self.num_qubits(), op);
-        let parallel = sweep_parallel(self.dim());
+        let split = Split::for_dim(self.dim());
         apply_prepared(
             self.amplitudes_mut(),
             std::slice::from_ref(&prepared),
-            parallel,
+            split,
         );
     }
 }
@@ -305,10 +327,13 @@ mod tests {
     #[test]
     fn forced_parallel_serial_and_tiled_sweeps_are_bit_identical() {
         // The determinism contract at the GHS_PARALLEL_THRESHOLD extremes:
-        // forcing every sweep parallel, forcing every sweep serial, the
-        // tiled replay forced either way and the production path must agree
-        // bit for bit — SIMD-laned kernels included, since the lanes mirror
-        // scalar operation order exactly (see `ghs_math` SIMD docs).
+        // forcing every sweep through the index-space split (which
+        // production takes for most wide ops only from four times the
+        // threshold), forcing
+        // every sweep serial, the tiled replay forced either way and the
+        // production path must agree bit for bit — SIMD-laned kernels
+        // included, since the lanes mirror scalar operation order exactly
+        // (see `ghs_math` SIMD docs).
         let n = 14; // two TILE_AMPS tiles; both paths are forced below
         let c = mixed_circuit(n, 31);
         let fused = c.fused();
@@ -326,9 +351,17 @@ mod tests {
             p.apply_sweep(parallel.amplitudes_mut(), true);
         }
         let mut tiled_serial = s0.clone();
-        apply_prepared(tiled_serial.amplitudes_mut(), &prepared, false);
+        let serial_split = Split {
+            parallel: false,
+            wide: false,
+        };
+        apply_prepared(tiled_serial.amplitudes_mut(), &prepared, serial_split);
         let mut tiled_parallel = s0.clone();
-        apply_prepared(tiled_parallel.amplitudes_mut(), &prepared, true);
+        let parallel_split = Split {
+            parallel: true,
+            wide: true,
+        };
+        apply_prepared(tiled_parallel.amplitudes_mut(), &prepared, parallel_split);
         // Match apply_fused's trailing global-phase pass on the forced copies.
         if fused.global_phase() != 0.0 {
             let ph = Complex64::cis(fused.global_phase());
@@ -405,9 +438,11 @@ mod tests {
     #[test]
     fn high_bit_supports_run_exact_at_scale() {
         // Ops whose support includes qubit 0 (the most significant bit) take
-        // the index-space sweep path once the register exceeds one tile; pin
-        // it against the oracle at the parallel threshold, where the old
-        // engine fell back to one thread.
+        // the whole-array sweep once the register exceeds one tile; pin it
+        // against the oracle at the parallel threshold, both as production
+        // runs it and with the index-space split forced (production takes
+        // it for ops other than permutations only from four times the
+        // threshold).
         let n = crate::state::parallel_test_qubits();
         let mut c = Circuit::new(n);
         for q in 0..n {
@@ -425,10 +460,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let s0 = StateVector::random_state(n, &mut rng);
         let mut fused = s0.clone();
-        fused.apply_fused(&c.fused());
+        let fused_c = c.fused();
+        fused.apply_fused(&fused_c);
         let mut unfused = s0.clone();
         unfused.run_unfused(&c);
         assert!(fused.distance(&unfused) < 1e-12);
+        let prepared: Vec<Prepared> = fused_c
+            .ops()
+            .iter()
+            .map(|op| Prepared::build(n, op))
+            .collect();
+        assert!(prepared.iter().any(|p| p.span > TILE_AMPS));
+        let mut split = s0.clone();
+        let forced = Split {
+            parallel: true,
+            wide: true,
+        };
+        apply_prepared(split.amplitudes_mut(), &prepared, forced);
+        let ph = Complex64::cis(fused_c.global_phase());
+        for a in split.amplitudes_mut() {
+            *a *= ph;
+        }
+        assert!(split.distance(&unfused) < 1e-12);
     }
 
     #[test]

@@ -829,6 +829,14 @@ impl Prepared {
         }
     }
 
+    /// `true` for a permutation (a CX/X/SWAP ladder or a monomial block).
+    /// Its whole-array sweep wins from the parallel threshold through the
+    /// index-space split, unlike the arithmetic kinds (see
+    /// [`wide_sweep_parallel`]).
+    pub(crate) fn is_permutation(&self) -> bool {
+        matches!(self.kind, Kind::Permutation { .. })
+    }
+
     /// Applies the op to the whole flat amplitude array, parallelizing over
     /// group **index space** (contiguous ranges of group ranks) instead of
     /// slicing the array. Used by the flat engine when `span` exceeds its
@@ -1228,9 +1236,37 @@ pub(crate) fn sweep_parallel(dim: usize) -> bool {
     dim >= parallel_threshold()
 }
 
+/// Multiple of [`parallel_threshold`] from which an op wider than a fused
+/// tile, other than a permutation, takes [`Prepared::apply_sweep`]'s
+/// index-space split. The split runs scalar per-group code, so on two
+/// threads a dense op (the `crossover` binary's widest-span column), a
+/// controlled single-qubit gate or a keyed phase does not beat the laned
+/// serial sweep below 2¹⁸ amplitudes. Permutations are the exception: a
+/// 17-qubit CX ladder's fused replay took 8.4 ms with its wide ops split
+/// and 13.9 ms with them serial.
+const WIDE_SWEEP_FACTOR: usize = 4;
+
+/// `true` when an op wider than a fused tile, other than a permutation,
+/// should sweep `dim` amplitudes through the index-space parallel split. A
+/// threshold of `0` still forces the split.
+pub(crate) fn wide_sweep_parallel(dim: usize) -> bool {
+    dim >= parallel_threshold().saturating_mul(WIDE_SWEEP_FACTOR)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wide_sweeps_split_from_four_times_the_threshold() {
+        let t = parallel_threshold();
+        let wide = t.saturating_mul(WIDE_SWEEP_FACTOR);
+        assert!(wide_sweep_parallel(wide));
+        assert!(sweep_parallel(t));
+        if t > 0 {
+            assert!(!wide_sweep_parallel(wide - 1));
+        }
+    }
 
     #[test]
     fn subset_iteration_enumerates_exactly_the_mask() {

@@ -11,17 +11,28 @@
 //! * `PauliNoise` at zero strength matches the noiseless reference value
 //!   exactly (bit-equal), not just to tolerance;
 //! * the QWC partition really is qubit-wise commuting and never needs more
-//!   settings than there are strings.
+//!   settings than there are strings;
+//! * on 11–14 qubit registers (several partial-sum chunks), diagonal and
+//!   mixed sums of up to a few hundred Z-strings still match the sparse
+//!   expectation and mat-vec oracles, bit-identically at both threshold
+//!   extremes;
+//! * a HUBO cost read through its Pauli expansion equals the cost averaged
+//!   over the measurement distribution, `Σₓ |ψₓ|²·C(x)`.
 
 use gate_efficient_hs::core::backend::{
     Backend, FusedStatevector, InitialState, PauliNoise, ReferenceStatevector,
 };
-use gate_efficient_hs::operators::PauliOp;
+use gate_efficient_hs::hubo::{
+    qaoa_circuit, random_dense_hubo, HuboProblem, QaoaParameters, SeparatorStrategy,
+};
+use gate_efficient_hs::operators::{PauliOp, PauliSum};
 use gate_efficient_hs::statevector::testkit::{
     random_circuit, random_pauli_sum, random_state, PauliSumKind,
 };
-use gate_efficient_hs::statevector::{qwc_partition, GroupedPauliSum};
+use gate_efficient_hs::statevector::{qwc_partition, GroupedPauliSum, StateVector};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Equivalence tolerance between the matrix-free engine and the sparse
 /// oracle (the PR's acceptance criterion).
@@ -227,4 +238,115 @@ fn expectation_estimator_consistency_across_seeds() {
         .expectation(&zero, &circuit, &grouped)
         .unwrap();
     assert_eq!(a.to_bits(), b.to_bits());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Registers of 11–14 qubits span 2–16 partial-sum chunks, so the
+    /// diagonal sweep's block signs take index bits above the chunk. Up to
+    /// 256 Z-strings reach blocks of up to 2¹⁰ entries; a mixed sum adds
+    /// flip groups on top of the diagonal batch.
+    #[test]
+    fn multi_chunk_sums_match_sparse_oracles(
+        n in 11usize..=14,
+        diagonal in 1usize..=256,
+        mixed in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..5_000,
+    ) {
+        // Keep the sparse oracle near 2²¹ stored entries.
+        let diagonal = diagonal.min((1 << 21) >> n);
+        let mut terms = random_pauli_sum(n, diagonal, PauliSumKind::Diagonal, seed)
+            .terms()
+            .to_vec();
+        if mixed {
+            terms.extend_from_slice(random_pauli_sum(n, 8, PauliSumKind::Mixed, !seed).terms());
+        }
+        let sum = PauliSum::from_terms(n, terms);
+        let state = random_state(n, seed ^ 0xc4a1);
+        let amps = state.amplitudes();
+        let sparse = sum.sparse_matrix();
+        let grouped = GroupedPauliSum::new(&sum);
+
+        let oracle = state.expectation_sparse(&sparse);
+        let serial = grouped.expectation_with_threshold(amps, usize::MAX);
+        let parallel = grouped.expectation_with_threshold(amps, 0);
+        prop_assert!(
+            (serial - oracle).abs() < ORACLE_TOL,
+            "n={n} diagonal={diagonal} seed={seed}: {serial} vs {oracle}"
+        );
+        prop_assert_eq!(serial.re.to_bits(), parallel.re.to_bits());
+        prop_assert_eq!(serial.im.to_bits(), parallel.im.to_bits());
+
+        let applied = grouped.apply_with_threshold(amps, usize::MAX);
+        let applied_parallel = grouped.apply_with_threshold(amps, 0);
+        for ((f, p), o) in applied.iter().zip(&applied_parallel).zip(sparse.matvec(amps)) {
+            prop_assert!((*f - o).abs() < ORACLE_TOL, "n={n} seed={seed}: {f} vs {o}");
+            prop_assert_eq!((f.re.to_bits(), f.im.to_bits()), (p.re.to_bits(), p.im.to_bits()));
+        }
+    }
+}
+
+/// A random HUBO on `num_vars` variables: `monomials` monomials of orders
+/// drawn from `1..=max_order`, weights in `(−1, 1)`.
+fn random_hubo(
+    num_vars: usize,
+    max_order: usize,
+    monomials: usize,
+    rng: &mut StdRng,
+) -> HuboProblem {
+    let mut problem = HuboProblem::new(num_vars);
+    for _ in 0..monomials {
+        let order = rng.gen_range(1..=max_order);
+        let vars: Vec<usize> = (0..order).map(|_| rng.gen_range(0..num_vars)).collect();
+        problem.add_term(rng.gen_range(-1.0..1.0), &vars);
+    }
+    problem
+}
+
+/// `⟨C⟩` read through the Ising expansion (`to_pauli_sum`, one Z-string
+/// per subset of every monomial) and the grouped engine equals the cost
+/// averaged over the measurement distribution, computed from
+/// `HuboProblem::evaluate` with no Pauli expansion at all.
+#[test]
+fn hubo_cost_matches_probability_weighted_evaluation() {
+    let mut rng = StdRng::seed_from_u64(1515);
+    let mut problems: Vec<HuboProblem> = [
+        (11, 1, 9),
+        (12, 2, 30),
+        (13, 3, 40),
+        (14, 4, 40),
+        (12, 5, 60),
+    ]
+    .into_iter()
+    .map(|(n, order, monomials)| random_hubo(n, order, monomials, &mut rng))
+    .collect();
+    let orders: Vec<usize> = problems.iter().map(HuboProblem::order).collect();
+    assert_eq!(orders, [1, 2, 3, 4, 5]);
+    // Every monomial of order ≤ 5 on 12 variables: 1 586 Z-strings, more
+    // than one partial-sum chunk's worth of terms.
+    problems.push(random_dense_hubo(12, 5, &mut rng));
+    assert!(problems.last().unwrap().to_pauli_sum().num_terms() > 1024);
+
+    for (k, problem) in problems.iter().enumerate() {
+        let n = problem.num_vars();
+        let observable = GroupedPauliSum::new(&problem.to_pauli_sum());
+        let params = QaoaParameters::from_vec(&[0.37, 0.61]);
+        let mut qaoa = StateVector::zero_state(n);
+        qaoa.run_fused(&qaoa_circuit(problem, &params, SeparatorStrategy::Direct));
+        for state in [random_state(n, 40 + k as u64), qaoa] {
+            let expected: f64 = state
+                .amplitudes()
+                .iter()
+                .enumerate()
+                .map(|(x, a)| a.norm_sqr() * problem.evaluate(x))
+                .sum();
+            let got = observable.expectation(state.amplitudes());
+            assert!(
+                (got.re - expected).abs() < 1e-10 && got.im.abs() < 1e-10,
+                "problem {k} (n={n}, order {}): {got} vs {expected}",
+                problem.order()
+            );
+        }
+    }
 }

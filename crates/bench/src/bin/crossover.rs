@@ -1,5 +1,6 @@
 //! Serial-vs-parallel crossover of the dense state-vector kernels: the
-//! measurement behind the default of `GHS_PARALLEL_THRESHOLD`.
+//! measurement behind the default of `GHS_PARALLEL_THRESHOLD` and the
+//! wide-op split policy of the fused engine.
 //!
 //! Usage:
 //!
@@ -10,26 +11,38 @@
 //! The threshold is read once per process, so the binary re-runs itself
 //! once per leg: every sweep forced serial (`GHS_PARALLEL_THRESHOLD` set to
 //! `usize::MAX`) and every sweep forced parallel (set to `0`), alternating
-//! the two legs for seven rounds (`ROUNDS`). Each leg times five kernel
-//! classes at sizes `n` from 12 to 18 (`MIN_QUBITS`, `MAX_QUBITS`):
+//! the two legs for seven rounds (`ROUNDS`). Each leg times, at sizes `n`
+//! from 12 to 18 (`MIN_QUBITS`, `MAX_QUBITS`):
 //!
 //! * `gate`: one per-gate sweep (`H` on the middle qubit);
-//! * `fused_tile`: one fused dense 2-qubit op on qubits `n − 2` and `n − 1`,
-//!   replayed tile by tile (tiles run in parallel above one 2¹³-amplitude
-//!   tile);
-//! * `fused_wide`: the same op on qubits `0` and `n − 1`, the widest span
-//!   (tile-local up to 2¹³ amplitudes, an index-space sweep above);
+//! * one fused op of each kernel kind, on a *bottom* support (the last
+//!   qubits, the lowest index bits) and on a *top* support (the first
+//!   qubits, the highest index bits), through `apply_fused_op`:
+//!   - `dense`: a dense 2-qubit block;
+//!   - `ctrl`: a controlled single-qubit rotation (target, then control);
+//!   - `keyed`: a keyed phase on 3 qubits, kept as a pass-through gate;
+//!   - `diag_sparse`: a 3-qubit phase table with one active entry (the
+//!     keyed-phase shape);
+//!   - `diag_dense`: the same support with every entry active; both tables
+//!     take the one address-order walk, which multiplies every amplitude;
+//!   - `perm`: a 10-qubit CX-ladder permutation (the `ladder_*` shape);
+//!
+//!   top-support ops wider than one 2¹³-amplitude tile (`dense`, `ctrl`,
+//!   `perm`) take the index-space split in the parallel leg; every other
+//!   op, bottom-support `perm` included, runs tile by tile (tiles in
+//!   parallel above one tile), so its parallel column measures tile
+//!   parallelism;
 //! * `expectation`: one grouped Pauli-sum expectation (a `ZZ` and an `XX`
 //!   term), whose chunked reduction the adjoint gradient shares;
 //! * `shots`: one seeded batch of `2ⁿ` shots from a 12-qubit distribution.
 //!
 //! It prints the median µs per call of every cell over the rounds and, per
-//! kernel, the smallest `n` from which the parallel leg wins at every larger
+//! row, the smallest `n` from which the parallel leg wins at every larger
 //! `n`. Every kernel but `shots` runs on an `n`-qubit register.
 
 use ghs_bench::print_table;
-use ghs_circuit::{FusedKernel, FusedOp, Gate};
-use ghs_math::c64;
+use ghs_circuit::{Circuit, ControlBit, FusedKernel, FusedOp, Gate};
+use ghs_math::{c64, Complex64};
 use ghs_operators::{PauliString, PauliSum};
 use ghs_statevector::{CachedDistribution, GroupedPauliSum, StateVector};
 use rand::rngs::StdRng;
@@ -38,13 +51,23 @@ use std::collections::BTreeMap;
 use std::process::Command;
 use std::time::Instant;
 
-const KERNELS: [&str; 5] = ["gate", "fused_tile", "fused_wide", "expectation", "shots"];
+/// Fused-op kinds, each timed on a bottom and a top support.
+const OP_KINDS: [&str; 6] = [
+    "dense",
+    "ctrl",
+    "keyed",
+    "diag_sparse",
+    "diag_dense",
+    "perm",
+];
 /// Smallest register timed.
 const MIN_QUBITS: usize = 12;
 /// Largest register timed.
 const MAX_QUBITS: usize = 18;
 /// Serial/parallel leg pairs whose medians the table reports.
 const ROUNDS: usize = 7;
+/// Width of the `perm` row's ladder.
+const PERM_QUBITS: usize = 10;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -66,35 +89,100 @@ fn time_us(dim: usize, mut f: impl FnMut()) -> f64 {
     median(samples[1..].to_vec())
 }
 
-/// One leg: prints `kernel n µs` lines under whatever threshold the process
+/// The `kind` row's fused op on `qubits` (listed from the op's most
+/// significant local bit), emitted by the fusion pass where the kind has a
+/// gate-level source.
+fn kind_op(kind: &str, qubits: &[usize], n: usize) -> FusedOp {
+    let single = |c: Circuit| {
+        let f = c.fused();
+        assert_eq!(f.ops().len(), 1, "{kind} fuses to one op");
+        f.ops()[0].clone()
+    };
+    let key = |q: &[usize]| q[..3].iter().map(|&q| ControlBit::one(q)).collect();
+    let mut c = Circuit::new(n);
+    match kind {
+        "dense" => {
+            let matrix = Gate::H(0).base_matrix().expect("H").kron(
+                &Gate::Ry {
+                    qubit: 0,
+                    theta: 0.3,
+                }
+                .base_matrix()
+                .expect("RY"),
+            );
+            let mut qubits = qubits[..2].to_vec();
+            qubits.sort_unstable();
+            FusedOp {
+                qubits,
+                kernel: FusedKernel::Dense {
+                    controls: vec![],
+                    matrix,
+                },
+            }
+        }
+        "ctrl" => {
+            c.mcry(vec![ControlBit::one(qubits[1])], qubits[0], 0.3);
+            single(c)
+        }
+        "keyed" => {
+            let mut support = qubits[..3].to_vec();
+            support.sort_unstable();
+            FusedOp {
+                qubits: support,
+                kernel: FusedKernel::Gate(Gate::KeyedPhase {
+                    key: key(qubits),
+                    theta: 0.7,
+                }),
+            }
+        }
+        "diag_sparse" => {
+            c.keyed_phase(key(qubits), 0.7);
+            single(c)
+        }
+        "diag_dense" => {
+            let mut support = qubits[..3].to_vec();
+            support.sort_unstable();
+            let table = (0..8)
+                .map(|l| Complex64::cis(0.1 + 0.3 * l as f64))
+                .collect();
+            FusedOp {
+                qubits: support,
+                kernel: FusedKernel::Diagonal(table),
+            }
+        }
+        "perm" => {
+            let mut ladder = qubits[..PERM_QUBITS].to_vec();
+            ladder.sort_unstable();
+            for w in ladder.windows(2) {
+                c.cx(w[0], w[1]);
+            }
+            single(c)
+        }
+        other => unreachable!("unknown kind {other}"),
+    }
+}
+
+/// One leg: prints `row n µs` lines under whatever threshold the process
 /// was started with.
 fn run_leg() {
     for n in MIN_QUBITS..=MAX_QUBITS {
         let dim = 1usize << n;
         let mut rng = StdRng::seed_from_u64(n as u64);
         let mut state = StateVector::random_state(n, &mut rng);
+        let mut cells: Vec<(String, f64)> = Vec::new();
 
         let h = Gate::H(n / 2);
-        let gate_us = time_us(dim, || state.apply_gate(&h));
+        cells.push(("gate".into(), time_us(dim, || state.apply_gate(&h))));
 
-        let ry = Gate::Ry {
-            qubit: 0,
-            theta: 0.3,
-        };
-        let matrix = h
-            .base_matrix()
-            .expect("H")
-            .kron(&ry.base_matrix().expect("RY"));
-        let dense = |qubits: Vec<usize>| FusedOp {
-            qubits,
-            kernel: FusedKernel::Dense {
-                controls: vec![],
-                matrix: matrix.clone(),
-            },
-        };
-        let (tile_op, wide_op) = (dense(vec![n - 2, n - 1]), dense(vec![0, n - 1]));
-        let tile_us = time_us(dim, || state.apply_fused_op(&tile_op));
-        let wide_us = time_us(dim, || state.apply_fused_op(&wide_op));
+        let bottom: Vec<usize> = (0..n).rev().collect();
+        let top: Vec<usize> = (0..n).collect();
+        for kind in OP_KINDS {
+            for (side, qubits) in [("bottom", &bottom), ("top", &top)] {
+                let op = kind_op(kind, qubits, n);
+                let us = time_us(dim, || state.apply_fused_op(&op));
+                cells.push((format!("{kind}_{side}"), us));
+            }
+        }
 
         let mut sum = PauliSum::zero(n);
         let pair = |p: char| {
@@ -108,6 +196,7 @@ fn run_leg() {
         let grouped = GroupedPauliSum::new(&sum);
         let mut sink = 0.0;
         let exp_us = time_us(dim, || sink += grouped.expectation(state.amplitudes()).re);
+        cells.push(("expectation".into(), exp_us));
 
         let dist = CachedDistribution::from_state(&StateVector::random_state(12, &mut rng));
         let mut seed = 0u64;
@@ -115,19 +204,17 @@ fn run_leg() {
             seed += 1;
             sink += dist.sample_seeded(dim, seed)[0] as f64;
         });
+        cells.push(("shots".into(), shots_us));
 
         assert!(sink.is_finite());
-        for (kernel, us) in KERNELS
-            .iter()
-            .zip([gate_us, tile_us, wide_us, exp_us, shots_us])
-        {
-            println!("{kernel} {n} {us}");
+        for (row, us) in cells {
+            println!("{row} {n} {us}");
         }
     }
 }
 
 /// Runs one leg in a child process with the given threshold and returns its
-/// `(kernel, n) → µs` cells.
+/// `(row, n) → µs` cells.
 fn spawn_leg(threshold: usize) -> BTreeMap<(String, usize), f64> {
     let exe = std::env::current_exe().expect("current executable");
     let out = Command::new(exe)
@@ -140,10 +227,10 @@ fn spawn_leg(threshold: usize) -> BTreeMap<(String, usize), f64> {
         .lines()
         .filter_map(|line| {
             let mut it = line.split_whitespace();
-            let kernel = it.next()?.to_string();
+            let row = it.next()?.to_string();
             let n = it.next()?.parse().ok()?;
             let us = it.next()?.parse().ok()?;
-            Some(((kernel, n), us))
+            Some(((row, n), us))
         })
         .collect()
 }
@@ -165,11 +252,18 @@ fn main() {
         }
     }
 
+    let mut rows_in_order = vec!["gate".to_string()];
+    for kind in OP_KINDS {
+        rows_in_order.push(format!("{kind}_bottom"));
+        rows_in_order.push(format!("{kind}_top"));
+    }
+    rows_in_order.extend(["expectation".to_string(), "shots".to_string()]);
+
     let mut rows = Vec::new();
-    for kernel in KERNELS {
+    for row in &rows_in_order {
         let mut wins_from = None;
         for n in MIN_QUBITS..=MAX_QUBITS {
-            let [serial, parallel] = cells[&(kernel.to_string(), n)].clone();
+            let [serial, parallel] = cells[&(row.clone(), n)].clone();
             let (s, p) = (median(serial), median(parallel));
             if p < s {
                 wins_from.get_or_insert(n);
@@ -177,7 +271,7 @@ fn main() {
                 wins_from = None;
             }
             rows.push(vec![
-                kernel.to_string(),
+                row.clone(),
                 n.to_string(),
                 format!("{s:.1}"),
                 format!("{p:.1}"),
@@ -185,8 +279,8 @@ fn main() {
             ]);
         }
         match wins_from {
-            Some(n) => println!("{kernel}: parallel wins from n = {n}"),
-            None => println!("{kernel}: serial wins at n = {MAX_QUBITS}"),
+            Some(n) => println!("{row}: parallel wins from n = {n}"),
+            None => println!("{row}: serial wins at n = {MAX_QUBITS}"),
         }
     }
     print_table(

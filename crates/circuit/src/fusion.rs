@@ -4,8 +4,9 @@
 //! per gate; on the deep Trotter/QAOA/QFT circuits this workspace produces,
 //! memory traffic — not arithmetic — dominates. This pass greedily merges
 //! runs of adjacent gates whose supports overlap into small `k`-qubit blocks
-//! (`k ≤ 3` by default, hard ceiling [`MAX_DENSE_QUBITS`]` = 5` via
-//! [`FusionOptions`]; diagonal-only blocks may grow to 10 qubits), then
+//! (`k ≤ 4` by default, hard ceiling [`MAX_DENSE_QUBITS`]` = 5` via
+//! [`FusionOptions`]; diagonal-only and monomial-only blocks may grow to 10
+//! qubits), then
 //! classifies every block into the cheapest kernel the simulator can apply
 //! in a single sweep:
 //!
@@ -27,6 +28,19 @@
 //! * [`FusedKernel::Gate`] — pass-through for gates too wide to densify
 //!   (e.g. an `McX` with many controls), which already have specialized
 //!   per-gate kernels in the simulator.
+//!
+//! Two merges are refused, so that phase separators stay table sweeps: a
+//! diagonal gate never widens a block that is not monomial, and a gate that
+//! is not monomial never absorbs a diagonal-only block wider than itself.
+//! Merged into the H/RX blocks around them, the keyed phases of a
+//! direct-method separator (paper Eq. 14) would turn each 1-qubit mixer
+//! into a 3–4-qubit sparse or dense sweep of the whole state. With the
+//! rule, one QAOA layer fuses into a few diagonal tables, which the
+//! diagonal coalescing below fills with the whole separator, plus one
+//! single-qubit op per mixer gate. Emission builds a diagonal table by
+//! visiting, per keyed phase, only the `2^(w − |key|)` entries its key
+//! selects, and never weighs a diagonal-only block against its split (each
+//! non-identity gate alone would cost a whole table sweep).
 //!
 //! The pass is purely structural: it never reorders non-commuting gates. A
 //! gate may only join the *latest* block touching any of its qubits; every
@@ -413,6 +427,42 @@ fn local_bit(l: usize, qubit: usize, support: &[usize]) -> u8 {
     ((l >> (support.len() - 1 - j)) & 1) as u8
 }
 
+/// Local-index mask and value of the entries a key (or control list)
+/// selects over the sorted `support`, resolved once per gate so that a
+/// table walk tests no key bit per entry. `None` when the key asks one
+/// qubit for both values and so selects nothing.
+fn local_key(key: &[ControlBit], support: &[usize]) -> Option<(usize, usize)> {
+    let (mut mask, mut val) = (0usize, 0usize);
+    for k in key {
+        let j = support
+            .binary_search(&k.qubit)
+            .expect("qubit not in block support");
+        let bit = 1usize << (support.len() - 1 - j);
+        let v = if k.value == 1 { bit } else { 0 };
+        if mask & bit != 0 && val & bit != v {
+            return None;
+        }
+        mask |= bit;
+        val |= v;
+    }
+    Some((mask, val))
+}
+
+/// Calls `f(val | s)` for every subset `s` of the local bits outside `mask`
+/// below `dim`: the entries a resolved key selects, in increasing order.
+#[inline]
+fn for_each_selected(dim: usize, (mask, val): (usize, usize), mut f: impl FnMut(usize)) {
+    let free = (dim - 1) & !mask;
+    let mut s = 0usize;
+    loop {
+        f(val | s);
+        s = s.wrapping_sub(free) & free;
+        if s == 0 {
+            break;
+        }
+    }
+}
+
 /// Local index with the bit of `qubit` forced to `value`.
 #[inline]
 fn local_with_bit(l: usize, qubit: usize, support: &[usize], value: u8) -> usize {
@@ -578,8 +628,47 @@ fn mix_rows(m: &mut CMatrix, lo: usize, hi: usize, c: [[Complex64; 2]; 2]) {
 }
 
 /// Multiplies the diagonal phase of one diagonal gate into `table` (indexed
-/// over the sorted `support`).
+/// over the sorted `support`). A keyed phase or controlled diagonal visits
+/// only the `2^(w − |key|)` entries its key selects, through the key's local
+/// mask; each visited entry takes the same single multiply as in
+/// `accumulate_diagonal_per_entry`, the test oracle, so the tables are
+/// bit-identical.
 fn accumulate_diagonal(gate: &Gate, support: &[usize], table: &mut [Complex64]) {
+    match gate_action(gate) {
+        GateAction::Global(theta) => {
+            let p = Complex64::cis(theta);
+            for t in table.iter_mut() {
+                *t *= p;
+            }
+        }
+        GateAction::Keyed { key, theta } => {
+            let p = Complex64::cis(theta);
+            if let Some(sel) = local_key(&key, support) {
+                for_each_selected(table.len(), sel, |l| table[l] *= p);
+            }
+        }
+        GateAction::Controlled {
+            controls,
+            target,
+            u,
+        } => {
+            // Only reached for diagonal `u` (Z/S/T/Phase/RZ families).
+            let tbit = local_with_bit(0, target, support, 1);
+            let (u0, u1) = (u[(0, 0)], u[(1, 1)]);
+            if let Some(sel) = local_key(&controls, support) {
+                for_each_selected(table.len(), sel, |l| {
+                    table[l] *= if l & tbit == 0 { u0 } else { u1 };
+                });
+            }
+        }
+        GateAction::SwapPair { .. } => unreachable!("SWAP is not diagonal"),
+    }
+}
+
+/// [`accumulate_diagonal`] one entry at a time, every entry testing every
+/// key bit through [`local_bit`]: the oracle its masked walk is pinned to.
+#[cfg(test)]
+fn accumulate_diagonal_per_entry(gate: &Gate, support: &[usize], table: &mut [Complex64]) {
     match gate_action(gate) {
         GateAction::Global(theta) => {
             let p = Complex64::cis(theta);
@@ -603,7 +692,6 @@ fn accumulate_diagonal(gate: &Gate, support: &[usize], table: &mut [Complex64]) 
             target,
             u,
         } => {
-            // Only reached for diagonal `u` (Z/S/T/Phase/RZ families).
             for (l, t) in table.iter_mut().enumerate() {
                 if controls
                     .iter()
@@ -637,12 +725,11 @@ fn accumulate_monomial(
         }
         GateAction::Keyed { key, theta } => {
             let p = Complex64::cis(theta);
-            for (t, ph) in targets.iter().zip(phases.iter_mut()) {
-                if key
-                    .iter()
-                    .all(|k| local_bit(*t as usize, k.qubit, support) == k.value)
-                {
-                    *ph *= p;
+            if let Some((mask, val)) = local_key(&key, support) {
+                for (t, ph) in targets.iter().zip(phases.iter_mut()) {
+                    if *t as usize & mask == val {
+                        *ph *= p;
+                    }
                 }
             }
         }
@@ -891,7 +978,9 @@ impl FusionPlan {
         let Some(op) = emit_block(b, gates) else {
             return Vec::new();
         };
-        if !self.cost_aware || b.gates.len() <= 1 {
+        // A diagonal-only block never splits: each non-identity single is a
+        // table sweep of cost 1.0, as much as the whole block's table.
+        if !self.cost_aware || b.gates.len() <= 1 || b.diagonal_only {
             return vec![op];
         }
         let singles: Vec<FusedOp> = b
@@ -1063,6 +1152,17 @@ fn plan_scan(circuit: &Circuit, opts: &FusionOptions, order: &[usize]) -> Fusion
                 return false;
             }
             let union = union_size(&block.support, &gq);
+            // Phase separators stay diagonal tables: a diagonal gate never
+            // widens a block that is not monomial, and a gate that is not
+            // monomial never absorbs a diagonal-only block wider than
+            // itself. Either merge would turn a table sweep plus a 1-qubit
+            // mixer into a 3–4-qubit sparse or dense sweep.
+            if diag && !block.monomial_only && union > block.support.len() {
+                return false;
+            }
+            if !mono && block.diagonal_only && block.support.len() > gq.len() {
+                return false;
+            }
             let fits = if block.diagonal_only && diag {
                 union <= diag_limit
             } else if block.monomial_only && mono {
@@ -1527,6 +1627,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Random diagonal gate over qubits drawn from `support`: keyed phases
+    /// (repeated and contradictory keys included), global phases and the
+    /// controlled diagonal families with 0–2 controls of either value.
+    fn random_diagonal_gate(support: &[usize], rng: &mut SplitMix) -> Gate {
+        let q = support[rng.pick(support.len())];
+        let theta = (rng.pick(1 << 20) as f64 / (1 << 20) as f64 - 0.5) * 4.0 * PI;
+        let others: Vec<usize> = support.iter().copied().filter(|&o| o != q).collect();
+        match rng.pick(7) {
+            0 => Gate::GlobalPhase(theta),
+            1 | 2 => Gate::KeyedPhase {
+                key: (0..1 + rng.pick(4)).map(|_| rng.control(support)).collect(),
+                theta,
+            },
+            3 if !others.is_empty() => Gate::Cz {
+                a: others[rng.pick(others.len())],
+                b: q,
+            },
+            4 if !others.is_empty() => Gate::McRz {
+                controls: (0..rng.pick(3)).map(|_| rng.control(&others)).collect(),
+                target: q,
+                theta,
+            },
+            5 => Gate::Phase { qubit: q, theta },
+            _ => match rng.pick(4) {
+                0 => Gate::T(q),
+                1 => Gate::S(q),
+                2 => Gate::Z(q),
+                _ => Gate::Rz { qubit: q, theta },
+            },
+        }
+    }
+
+    #[test]
+    fn masked_diagonal_walk_is_bit_identical_to_the_per_entry_walk() {
+        let mut rng = SplitMix(0x0dd_ba11_5eed);
+        for case in 0..400 {
+            // 1–10 distinct qubits of a 14-qubit register.
+            let k = 1 + rng.pick(10);
+            let mut support: Vec<usize> = Vec::new();
+            while support.len() < k {
+                let q = rng.pick(14);
+                if !support.contains(&q) {
+                    support.push(q);
+                }
+            }
+            let gates: Vec<Gate> = (0..1 + rng.pick(16))
+                .map(|_| random_diagonal_gate(&support, &mut rng))
+                .collect();
+            support.sort_unstable();
+            let mut masked = vec![Complex64::ONE; 1 << k];
+            let mut per_entry = masked.clone();
+            for (gi, g) in gates.iter().enumerate() {
+                accumulate_diagonal(g, &support, &mut masked);
+                accumulate_diagonal_per_entry(g, &support, &mut per_entry);
+                for (l, (m, p)) in masked.iter().zip(&per_entry).enumerate() {
+                    assert_eq!(
+                        (m.re.to_bits(), m.im.to_bits()),
+                        (p.re.to_bits(), p.im.to_bits()),
+                        "case {case}, gate {gi} ({g:?}) on {support:?}: entry {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn phase_separators_stay_diagonal_and_mixers_stay_single() {
+        // A direct-method QAOA shape: an H layer, keyed phases on monomials
+        // of one to three variables, an RX mixer layer, twice. No keyed
+        // phase may widen an H/RX block, and no mixer may absorb a
+        // separator table, so every op that is neither diagonal nor a
+        // permutation acts on one qubit.
+        let n = 12;
+        let mut rng = SplitMix(0x5e9a_7a70);
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        for layer in 0..2 {
+            for _ in 0..2 * n {
+                let mut vars: Vec<usize> = Vec::new();
+                for _ in 0..1 + rng.pick(3) {
+                    let v = rng.pick(n);
+                    if !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
+                c.keyed_phase(vars.into_iter().map(ControlBit::one).collect(), 0.3);
+            }
+            for q in 0..n {
+                c.rx(q, 0.4 + 0.1 * layer as f64);
+            }
+        }
+        let f = c.fused();
+        let hist = f.kind_histogram();
+        assert!(hist.get("diag").copied().unwrap_or(0) >= 2, "{hist:?}");
+        for op in f.ops() {
+            if matches!(
+                op.kernel,
+                FusedKernel::Dense { .. } | FusedKernel::Sparse { .. }
+            ) {
+                assert_eq!(
+                    op.qubits.len(),
+                    1,
+                    "{} op on {:?}",
+                    op.kind_name(),
+                    op.qubits
+                );
+            }
+        }
+        assert_eq!(f.ops().len(), 3 * n + hist["diag"]);
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //!   span fits one `TILE_AMPS`-amplitude tile are replayed over a single
 //!   tile at a time, so a run of `r` ops costs one pass over the state
 //!   instead of `r`, with every intermediate amplitude staying cache-hot;
-//! * ops spanning more than a tile sweep the whole array through
+//! * diagonal tables read their support bits above a tile off the tile's
+//!   base, so every diagonal, whatever its support, joins the tile runs;
+//! * other ops spanning more than a tile sweep the whole array through
 //!   `Prepared::apply_sweep`, which parallelizes over group *index space*
 //!   (ranges of group ranks) rather than slicing the amplitude array — so an
 //!   op whose support includes qubit 0 (the most significant bit, whose
 //!   groups interleave across the entire state) fans out across worker
-//!   threads like any other op. That split runs scalar per-group code, so
-//!   ops other than permutations take it only from four times the parallel
-//!   threshold; below, their laned serial sweep is faster;
+//!   threads like any other op. That split runs scalar per-group code (and
+//!   a permutation on the top bits has a single group of strips), so wide
+//!   ops take it only from four times the parallel threshold; below, their
+//!   laned serial sweep is faster;
 //! * the hot inner loops process four groups per iteration in split
 //!   real/imaginary SIMD lanes ([`ghs_math::C64x4`]), with scalar remainder
 //!   paths that are bit-identical by construction (see `crate::kernels`).
@@ -46,9 +49,9 @@ pub(crate) const TILE_AMPS: usize = 1 << 13;
 /// Which paths of [`apply_prepared`] use worker threads.
 #[derive(Clone, Copy)]
 struct Split {
-    /// Runs of tile-sized ops (one tile per task) and wide permutations.
+    /// Runs of tile-sized ops, one tile per task.
     parallel: bool,
-    /// Every other op wider than a tile, through the index-space split.
+    /// Ops wider than a tile, through the index-space split.
     wide: bool,
 }
 
@@ -99,8 +102,7 @@ fn apply_prepared(amps: &mut [Complex64], prepared: &[Prepared], split: Split) {
             apply_run_tiled(amps, tile, split.parallel, &prepared[i..j]);
             i = j;
         } else {
-            let op = &prepared[i];
-            op.apply_sweep(amps, split.parallel && (op.is_permutation() || split.wide));
+            prepared[i].apply_sweep(amps, split.wide);
             i += 1;
         }
     }
@@ -395,6 +397,101 @@ mod tests {
                     (o.re.to_bits(), o.im.to_bits()),
                     "drift at {i} ({label})"
                 );
+            }
+        }
+    }
+
+    /// A CX ladder down the register and back around an RZ, `layers`
+    /// times: its blocks are 10-qubit phased permutations on the top,
+    /// middle and bottom bits.
+    fn ladder(n: usize, layers: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        for layer in 0..layers {
+            for q in 0..n - 1 {
+                c.cx(q, q + 1);
+            }
+            c.rz(n - 1, 0.1 + 0.01 * layer as f64);
+            for q in (0..n - 1).rev() {
+                c.cx(q, q + 1);
+            }
+        }
+        c
+    }
+
+    /// A direct-method QAOA shape: H layer, keyed phases on one to three
+    /// variables, RX mixers. Its separators fuse into wide phase tables.
+    fn separator_circuit(n: usize, seed: u64) -> Circuit {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        for layer in 0..2 {
+            for _ in 0..2 * n {
+                let mut key: Vec<ControlBit> = Vec::new();
+                for _ in 0..rng.gen_range(1..=3) {
+                    let v = rng.gen_range(0..n);
+                    if key.iter().all(|k| k.qubit != v) {
+                        key.push(ControlBit::one(v));
+                    }
+                }
+                c.keyed_phase(key, rng.gen_range(-1.0..1.0));
+            }
+            for q in 0..n {
+                c.rx(q, 0.3 + 0.2 * layer as f64);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn forced_splits_are_bit_identical_on_wide_tables() {
+        // Registers of two to sixteen tiles, whose ops include tables wider
+        // than a tile: every forced `Split` and every op swept alone
+        // through the index-space split must match the serial replay bit
+        // for bit.
+        let all = |n: usize| (0..n).collect::<Vec<_>>();
+        let cases = [
+            (14, separator_circuit(14, 3)),
+            (15, ghs_circuit::qft(15, &all(15), true)),
+            (16, ladder(16, 2)),
+            (17, crate::testkit::random_circuit(17, 120, 17)),
+        ];
+        for (n, c) in cases {
+            let fused = c.fused();
+            let prepared: Vec<Prepared> = fused
+                .ops()
+                .iter()
+                .map(|op| Prepared::build(n, op))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let s0 = StateVector::random_state(n, &mut rng);
+            let mut serial = s0.clone();
+            let off = Split {
+                parallel: false,
+                wide: false,
+            };
+            apply_prepared(serial.amplitudes_mut(), &prepared, off);
+            let mut runs = Vec::new();
+            for (parallel, wide) in [(true, false), (false, true), (true, true)] {
+                let mut s = s0.clone();
+                apply_prepared(s.amplitudes_mut(), &prepared, Split { parallel, wide });
+                runs.push((format!("split ({parallel}, {wide})"), s));
+            }
+            let mut swept = s0.clone();
+            for p in &prepared {
+                p.apply_sweep(swept.amplitudes_mut(), true);
+            }
+            runs.push(("forced sweeps".to_string(), swept));
+            for (label, s) in &runs {
+                for (i, (a, b)) in serial.amplitudes().iter().zip(s.amplitudes()).enumerate() {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "n={n}: {label} drifted at {i}"
+                    );
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Shared fused-op kernels: base-offset lowering, SIMD inner loops, and the
-//! index-space parallel full-array sweep.
+//! index-space parallel split.
 //!
 //! Both dense engines execute fused ops through the [`Prepared`] lowering in
 //! this module:
@@ -13,24 +13,49 @@
 //!   and crosses shard boundaries via [`Prepared::apply_cross`].
 //!
 //! Because the per-amplitude arithmetic of every path is identical — one
-//! shared `apply_local` body, and the cross/sweep paths mirror it operation
-//! for operation — the two engines produce bit-identical states for any
-//! tile size, shard count and thread count.
+//! shared `apply_local` body, and one index-space split for the sweep and
+//! cross paths that mirrors it operation for operation — the two engines
+//! produce bit-identical states for any tile size, shard count and thread
+//! count.
 //!
-//! The hot inner loops process four independent amplitude *groups* per
-//! iteration in split (SoA) real/imaginary layout ([`ghs_math::C64x4`]).
-//! Lanes are only ever laid **across** groups (never inside a dot product),
-//! and every lane operation replays the scalar complex arithmetic
-//! elementwise in the same order, so the SIMD kernels are bit-identical to
-//! the scalar remainder path that doubles as their oracle.
+//! **Address order.** Wide diagonal and permutation tables are walked in
+//! address order, never at the power-of-two strides of one group at a time,
+//! which alias in the caches (cache-blocked fused kernels, Häner & Steiger,
+//! SC'17, arXiv:1704.01127):
 //!
-//! [`Prepared::apply_sweep`] parallelizes over *group index space* (ranges
-//! of group ranks, expanded to scatter offsets by bit deposit) instead of
-//! splitting the amplitude slice. This is what lets an op whose support
-//! includes qubit 0 — the most significant bit, whose span is the whole
-//! array — still fan out across worker threads: distinct groups address
-//! disjoint amplitude sets, so the range workers write through a shared
-//! raw pointer without overlap.
+//! * a diagonal's support bits above a chunk are read off the chunk's base,
+//!   as control bits are, so every diagonal has span 1 and joins tile and
+//!   shard runs. Inside the chunk, the bits below the lowest support bit
+//!   form strips of consecutive amplitudes that share one table entry; when
+//!   the lowest bits are themselves support bits, each strip multiplies by
+//!   a contiguous slice of the table, which is re-indexed by ascending bit
+//!   position once at lowering. Every amplitude is multiplied, unit
+//!   entries included, so no result depends on where the support sits
+//!   (`(−0)·1` is `+0`, so skipping would);
+//! * a permutation swaps whole strips (the run below its lowest support
+//!   bit) and then scales the strips of its image slots, so a 10-qubit
+//!   ladder on the top bits moves `2^k`-amplitude blocks with `memcpy`-like
+//!   swaps. Permutations whose strips are shorter than four amplitudes
+//!   lane four groups at once instead;
+//! * a keyed phase (a pass-through gate) reads its key bits above a chunk
+//!   off the base and scales only the strips its key selects.
+//!
+//! The other hot inner loops process four independent amplitude *groups*
+//! per iteration in split (SoA) real/imaginary layout
+//! ([`ghs_math::C64x4`]). Lanes are only ever laid **across** groups or
+//! along a strip (never inside a dot product), and every lane operation
+//! replays the scalar complex arithmetic elementwise in the same order, so
+//! the SIMD kernels are bit-identical to the scalar remainder path that
+//! doubles as their oracle.
+//!
+//! The index-space split ([`Prepared::apply_sweep`] with worker threads,
+//! and [`Prepared::apply_cross`]) parallelizes over *group index space*
+//! (ranges of group ranks, expanded to scatter offsets by bit deposit)
+//! instead of splitting the amplitude slice. This is what lets an op whose
+//! support includes qubit 0 — the most significant bit, whose span is the
+//! whole array — still fan out across worker threads: distinct groups
+//! address disjoint amplitude sets, so the range workers write through
+//! shared raw pointers without overlap.
 
 use crate::state::{control_mask, parallel_threshold};
 use ghs_circuit::{FusedKernel, FusedOp, Gate};
@@ -118,23 +143,6 @@ fn expand_rank(rank: usize, mask: usize) -> usize {
     out
 }
 
-/// Shared raw pointer to the amplitude array for index-space parallel
-/// sweeps. Safety: every parallel caller partitions a *group* (or pair)
-/// index space whose members address disjoint amplitude sets, so no two
-/// workers ever touch the same element.
-struct SyncPtr(*mut Complex64);
-unsafe impl Send for SyncPtr {}
-unsafe impl Sync for SyncPtr {}
-
-impl SyncPtr {
-    /// Safety: callers must access disjoint indices across threads.
-    #[allow(clippy::mut_from_ref)]
-    #[inline(always)]
-    unsafe fn at(&self, idx: usize) -> &mut Complex64 {
-        &mut *self.0.add(idx)
-    }
-}
-
 /// Runs `per_group` over every subset of `gmask`, splitting the group-rank
 /// space into one contiguous range per worker thread when `parallel` holds.
 /// `per_group` must write only amplitudes of its own group (`i & gmask ==
@@ -162,15 +170,6 @@ fn sweep_groups<F: Fn(usize) + Sync>(gmask: usize, parallel: bool, per_group: F)
     });
 }
 
-/// One cycle of a permutation kernel, over scatter offsets. `phs_x4` holds
-/// the walk phases pre-broadcast to four lanes for the laned group walk.
-pub(crate) struct Cycle {
-    offs: Vec<usize>,
-    phs: Vec<Complex64>,
-    phs_x4: Vec<C64x4>,
-    trivial: bool,
-}
-
 /// A sparse component resolved to scatter offsets, with the pre-broadcast
 /// matrix for the laned path alongside the scalar one.
 pub(crate) struct Comp {
@@ -184,19 +183,23 @@ pub(crate) struct Comp {
 /// chunk's absolute base (which resolves control masks and shard-index
 /// bits), element-wise across shards, or over the whole flat array.
 pub(crate) enum Kind {
-    /// Non-unit phase table entries at their scatter offsets.
-    Diagonal { active: Vec<(usize, Complex64)> },
-    /// Cycle-decomposed phased shuffle. `pairs` is the flat swap list when
-    /// every cycle is phase-free and there are no fixed phases (plain
-    /// CX/X/SWAP ladders) — the dominant permutation shape. A length-`m`
-    /// rotation is `m − 1` pivot swaps, so the whole op collapses to
-    /// straight-line swaps without touching the cycle tables.
+    /// Phase table, walked in address order. Its support bits above a
+    /// chunk are read off the chunk's base, so the op has span 1 and joins
+    /// every tile and shard run.
+    Diagonal {
+        /// The table, indexed by the support bits in ascending position
+        /// order: bit `j` of an index is the amplitude's bit `pos[j]`.
+        table: Vec<Complex64>,
+        /// Bit position of each support qubit, ascending.
+        pos: Vec<usize>,
+    },
+    /// Phased shuffle: the swaps move every amplitude to its image (a
+    /// length-`m` cycle is `m − 1` swaps against its first slot), then each
+    /// image slot with a non-unit phase is scaled. Both lists hold scatter
+    /// offsets.
     Permutation {
-        cycles: Vec<Cycle>,
-        fixed: Vec<(usize, Complex64)>,
-        /// `fixed` phases pre-broadcast to four lanes.
-        fixed_x4: Vec<C64x4>,
-        pairs: Option<Vec<(u32, u32)>>,
+        pairs: Vec<(usize, usize)>,
+        scale: Vec<(usize, Complex64)>,
     },
     /// Gather → `2^k × 2^k` multiply → scatter with a control mask.
     /// `flat_x4` is the matrix with every entry pre-broadcast to four
@@ -218,7 +221,8 @@ pub(crate) enum Kind {
         cval: usize,
         u: [Complex64; 4],
     },
-    /// Keyed phase: one mask compare and at most one multiply per amplitude.
+    /// Keyed phase: one multiply per amplitude whose key bits match,
+    /// walked in strips.
     Keyed {
         kmask: usize,
         kval: usize,
@@ -232,9 +236,10 @@ pub(crate) enum Kind {
 
 /// A prepared op: its kind plus the smallest aligned power-of-two window
 /// (`span`) containing its support, and the support mask (`smask`) group
-/// sweeps exclude. Control/key masks are *not* part of the span: they are
-/// resolved from the absolute base, so controls on high (shard-index /
-/// out-of-tile) bits never force a full-array pass.
+/// sweeps exclude. Control/key masks are *not* part of the span, and
+/// neither is a diagonal's support: they are resolved from the absolute
+/// base, so controls and phase-table bits on high (shard-index /
+/// out-of-tile) positions never force a full-array pass.
 pub(crate) struct Prepared {
     pub(crate) span: usize,
     smask: usize,
@@ -270,79 +275,38 @@ pub(crate) fn scatter_table(num_qubits: usize, qubits: &[usize]) -> (Vec<usize>,
 
 impl Prepared {
     pub(crate) fn build(num_qubits: usize, op: &FusedOp) -> Self {
-        let (scatter, smask, span) = scatter_table(num_qubits, &op.qubits);
+        // Diagonals need only the support mask, not the scatter table.
+        let lower = || scatter_table(num_qubits, &op.qubits);
         match &op.kernel {
-            FusedKernel::Diagonal(table) => {
-                let active: Vec<(usize, Complex64)> = table
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| **p != Complex64::ONE)
-                    .map(|(l, p)| (scatter[l], *p))
-                    .collect();
-                Prepared {
-                    span,
-                    smask,
-                    kind: Kind::Diagonal { active },
-                }
-            }
+            FusedKernel::Diagonal(table) => Prepared::diagonal(num_qubits, &op.qubits, table),
             FusedKernel::Permutation { targets, phases } => {
-                let kdim = targets.len();
-                let mut cycles: Vec<Cycle> = Vec::new();
-                let mut fixed: Vec<(usize, Complex64)> = Vec::new();
-                let mut visited = vec![false; kdim];
-                for start in 0..kdim {
-                    if visited[start] {
-                        continue;
-                    }
-                    if targets[start] as usize == start {
-                        visited[start] = true;
-                        if phases[start] != Complex64::ONE {
-                            fixed.push((scatter[start], phases[start]));
-                        }
-                        continue;
-                    }
-                    let mut offs = Vec::new();
-                    let mut phs = Vec::new();
-                    let mut l = start;
+                let (scatter, smask, span) = lower();
+                // A length-m cycle is m−1 swaps against its first slot:
+                // swap(o0,o1), swap(o0,o2), …, swap(o0,o_{m−1}) leaves
+                // o0 ← o_{m−1} and o_i ← o_{i−1}, the cycle's moves. Local
+                // state `l`'s phase then scales its image slot.
+                let mut pairs = Vec::new();
+                let mut visited = vec![false; targets.len()];
+                for start in 0..targets.len() {
+                    let mut l = targets[start] as usize;
+                    visited[start] = true;
                     while !visited[l] {
                         visited[l] = true;
-                        offs.push(scatter[l]);
-                        phs.push(phases[l]);
+                        pairs.push((scatter[start], scatter[l]));
                         l = targets[l] as usize;
                     }
-                    let trivial = phs.iter().all(|p| *p == Complex64::ONE);
-                    let phs_x4 = phs.iter().map(|p| C64x4::splat(*p)).collect();
-                    cycles.push(Cycle {
-                        offs,
-                        phs,
-                        phs_x4,
-                        trivial,
-                    });
                 }
-                let pairs = if fixed.is_empty() && cycles.iter().all(|c| c.trivial) {
-                    // A length-m rotation is m−1 swaps against a pivot:
-                    // swap(o0,o1), swap(o0,o2), …, swap(o0,o_{m−1}) leaves
-                    // o0 ← o_{m−1} and o_i ← o_{i−1}, exactly the cycle walk.
-                    let mut ps = Vec::new();
-                    for c in &cycles {
-                        for i in 1..c.offs.len() {
-                            ps.push((c.offs[0] as u32, c.offs[i] as u32));
-                        }
-                    }
-                    Some(ps)
-                } else {
-                    None
-                };
-                let fixed_x4 = fixed.iter().map(|&(_, p)| C64x4::splat(p)).collect();
+                let mut scale: Vec<(usize, Complex64)> = phases
+                    .iter()
+                    .zip(targets)
+                    .filter(|(p, _)| **p != Complex64::ONE)
+                    .map(|(p, &t)| (scatter[t as usize], *p))
+                    .collect();
+                scale.sort_unstable_by_key(|&(o, _)| o);
                 Prepared {
                     span,
                     smask,
-                    kind: Kind::Permutation {
-                        cycles,
-                        fixed,
-                        fixed_x4,
-                        pairs,
-                    },
+                    kind: Kind::Permutation { pairs, scale },
                 }
             }
             FusedKernel::Dense { controls, matrix } => {
@@ -350,6 +314,7 @@ impl Prepared {
                 if op.qubits.len() == 1 {
                     Prepared::ctrl_single(num_qubits, op.qubits[0], cmask, cval, matrix)
                 } else {
+                    let (scatter, smask, span) = lower();
                     let flat: Vec<Complex64> = matrix.data().to_vec();
                     let flat_x4 = flat.iter().map(|c| C64x4::splat(*c)).collect();
                     Prepared {
@@ -367,6 +332,7 @@ impl Prepared {
                 }
             }
             FusedKernel::Sparse { components } => {
+                let (scatter, smask, span) = lower();
                 let comps: Vec<Comp> = components
                     .iter()
                     .map(|c| {
@@ -386,6 +352,45 @@ impl Prepared {
                 }
             }
             FusedKernel::Gate(g) => Prepared::from_gate(num_qubits, g),
+        }
+    }
+
+    /// A phase table on `qubits` (the op's first qubit is the most
+    /// significant local bit). The table is re-indexed by ascending bit
+    /// position, so a strip of low support bits reads a contiguous slice
+    /// of it whatever the qubit order (relabeled supports are unsorted);
+    /// each amplitude still meets the same entry. Ascending qubits, the
+    /// order of every emitted op, already index it that way.
+    fn diagonal(num_qubits: usize, qubits: &[usize], table: &[Complex64]) -> Self {
+        let k = qubits.len();
+        // (position, local-index bit) of each support qubit, ascending by
+        // position.
+        let mut bits: Vec<(usize, usize)> = qubits
+            .iter()
+            .enumerate()
+            .map(|(j, q)| (num_qubits - 1 - q, k - 1 - j))
+            .collect();
+        bits.sort_unstable();
+        let table = if bits.iter().enumerate().all(|(j, &(_, b))| b == j) {
+            table.to_vec()
+        } else {
+            (0..table.len())
+                .map(|m| {
+                    let l = bits
+                        .iter()
+                        .enumerate()
+                        .fold(0usize, |l, (j, &(_, b))| l | (m >> j & 1) << b);
+                    table[l]
+                })
+                .collect()
+        };
+        Prepared {
+            span: 1,
+            smask: bits.iter().map(|&(p, _)| 1usize << p).sum(),
+            kind: Kind::Diagonal {
+                table,
+                pos: bits.iter().map(|&(p, _)| p).collect(),
+            },
         }
     }
 
@@ -522,131 +527,88 @@ impl Prepared {
     fn apply_local_impl(&self, base: usize, chunk: &mut [Complex64]) {
         let gmask = (chunk.len() - 1) & !self.smask;
         match &self.kind {
-            Kind::Diagonal { active } => {
-                if active.is_empty() {
+            Kind::Diagonal { table, pos } => {
+                // Address-order walk: every amplitude is multiplied by its
+                // entry, unit entries included, so the result does not
+                // depend on where the support sits. The index bits above
+                // the chunk come from its base.
+                let lmask = chunk.len() - 1;
+                let c = lmask.count_ones() as usize;
+                let mut idx = 0usize;
+                for (j, &p) in pos.iter().enumerate().rev() {
+                    if p < c {
+                        break;
+                    }
+                    idx |= (base >> p & 1) << j;
+                }
+                let lo = self.smask & lmask;
+                if lo == 0 {
+                    scale_run(chunk, table[idx]);
                     return;
                 }
-                if gmask == 0 {
-                    // Support covers the whole chunk: one group, lane across
-                    // active table entries instead.
-                    let mut it = active.chunks_exact(4);
-                    for quad in &mut it {
-                        let amps = C64x4::gather(
-                            chunk[quad[0].0],
-                            chunk[quad[1].0],
-                            chunk[quad[2].0],
-                            chunk[quad[3].0],
-                        );
-                        let phs = C64x4::gather(quad[0].1, quad[1].1, quad[2].1, quad[3].1);
-                        let out = amps * phs;
-                        for (k, &(off, _)) in quad.iter().enumerate() {
-                            chunk[off] = out.lane(k);
-                        }
+                // Strips are the chunk's lowest `run` bits: the run of
+                // positions below the lowest support bit (one entry per
+                // strip), or the run of support bits from position 0 (a
+                // table slice per strip). `flips[i]` holds the index bits
+                // that toggle when the strip counter carries through its
+                // lowest `i + 1` bits.
+                let r = lo.trailing_zeros() as usize;
+                let run = if r == 0 {
+                    lo.trailing_ones() as usize
+                } else {
+                    r
+                };
+                let mut flips = [0usize; usize::BITS as usize];
+                let mut acc = 0usize;
+                let mut next = pos.partition_point(|&p| p < run);
+                for (i, f) in flips[..c - run].iter_mut().enumerate() {
+                    if next < pos.len() && pos[next] == run + i {
+                        acc ^= 1 << next;
+                        next += 1;
                     }
-                    for &(off, phase) in it.remainder() {
-                        chunk[off] *= phase;
-                    }
-                    return;
+                    *f = acc;
                 }
-                if gmask.count_ones() < 2 {
-                    for &(off0, phase) in active {
-                        for_each_subset(gmask, |off| {
-                            chunk[off0 + off] *= phase;
-                        });
+                let strip = 1usize << run;
+                let count = chunk.len() >> run;
+                for (s, seg) in chunk.chunks_exact_mut(strip).enumerate() {
+                    if r > 0 {
+                        scale_run(seg, table[idx]);
+                    } else {
+                        mul_runs(seg, &table[idx..idx + strip]);
                     }
-                    return;
-                }
-                let p = chunk.as_mut_ptr();
-                for &(off0, phase) in active {
-                    let ph = C64x4::splat(phase);
-                    // Safety: every index is `group | scatter` with both
-                    // parts below `span ≤ chunk.len()`.
-                    for_each_subset_x4(gmask, |offs| unsafe {
-                        let out = gather_quad(p, &offs, off0) * ph;
-                        scatter_quad(p, &offs, off0, out);
-                    });
+                    if s + 1 < count {
+                        idx ^= flips[s.trailing_ones() as usize];
+                    }
                 }
             }
-            Kind::Permutation {
-                cycles,
-                fixed,
-                fixed_x4,
-                pairs,
-            } => {
-                if cycles.is_empty() && fixed.is_empty() {
+            Kind::Permutation { pairs, scale } => {
+                if pairs.is_empty() && scale.is_empty() {
                     return;
                 }
-                if let Some(pairs) = pairs {
-                    // Straight-line swap list. Safety: every offset is
-                    // `group | scatter` with both parts inside the chunk
-                    // (span ≤ chunk.len() is this method's contract).
-                    let p = chunk.as_mut_ptr();
-                    for_each_subset(gmask, |off| unsafe {
-                        for &(a, b) in pairs {
-                            std::ptr::swap(p.add(off + a as usize), p.add(off + b as usize));
-                        }
-                    });
-                    return;
-                }
-                if gmask.count_ones() >= 2 {
-                    // Phased walk over four groups at once: gather a quad
-                    // per cycle slot, multiply by the pre-broadcast phase,
-                    // scatter one slot down the cycle. Groups are disjoint,
-                    // so the interleaving preserves the scalar results
-                    // exactly. Safety: every index is `group | scatter`
-                    // with both parts below `span ≤ chunk.len()`.
-                    let p = chunk.as_mut_ptr();
+                let strip = 1usize << self.smask.trailing_zeros();
+                let p = chunk.as_mut_ptr();
+                if strip < 4 && gmask.count_ones() >= 2 {
+                    // Strips shorter than four amplitudes: lane four
+                    // groups at once instead. Safety: every index is
+                    // `group | scatter` with both parts below
+                    // `span ≤ chunk.len()`, and groups are disjoint.
                     for_each_subset_x4(gmask, |offs| unsafe {
-                        let offs = &offs;
-                        for cy in cycles {
-                            let m = cy.offs.len();
-                            let tmp = gather_quad(p, offs, cy.offs[m - 1]);
-                            if cy.trivial {
-                                for i in (1..m).rev() {
-                                    let v = gather_quad(p, offs, cy.offs[i - 1]);
-                                    scatter_quad(p, offs, cy.offs[i], v);
-                                }
-                                scatter_quad(p, offs, cy.offs[0], tmp);
-                            } else {
-                                for i in (1..m).rev() {
-                                    let v = cy.phs_x4[i - 1] * gather_quad(p, offs, cy.offs[i - 1]);
-                                    scatter_quad(p, offs, cy.offs[i], v);
-                                }
-                                scatter_quad(p, offs, cy.offs[0], cy.phs_x4[m - 1] * tmp);
+                        for &(a, b) in pairs {
+                            for o in offs {
+                                std::ptr::swap(p.add(o + a), p.add(o + b));
                             }
                         }
-                        for (&(o, _), ph) in fixed.iter().zip(fixed_x4) {
-                            let v = gather_quad(p, offs, o) * *ph;
-                            scatter_quad(p, offs, o, v);
+                        for &(o, e) in scale {
+                            let out = gather_quad(p, &offs, o) * C64x4::splat(e);
+                            scatter_quad(p, &offs, o, out);
                         }
                     });
                     return;
                 }
-                for_each_subset(gmask, |off| {
-                    for cy in cycles {
-                        let m = cy.offs.len();
-                        if cy.trivial {
-                            if m == 2 {
-                                chunk.swap(off + cy.offs[0], off + cy.offs[1]);
-                            } else {
-                                let tmp = chunk[off + cy.offs[m - 1]];
-                                for i in (1..m).rev() {
-                                    chunk[off + cy.offs[i]] = chunk[off + cy.offs[i - 1]];
-                                }
-                                chunk[off + cy.offs[0]] = tmp;
-                            }
-                        } else {
-                            let tmp = chunk[off + cy.offs[m - 1]];
-                            for i in (1..m).rev() {
-                                chunk[off + cy.offs[i]] =
-                                    cy.phs[i - 1] * chunk[off + cy.offs[i - 1]];
-                            }
-                            chunk[off + cy.offs[0]] = cy.phs[m - 1] * tmp;
-                        }
-                    }
-                    for &(o, p) in fixed {
-                        chunk[off + o] *= p;
-                    }
+                // Safety: strips are aligned runs of `strip` amplitudes
+                // below `span ≤ chunk.len()`, disjoint across slots.
+                for_each_subset(gmask & !(strip - 1), |g| unsafe {
+                    permute_strips(|o| p.add(g + o), strip, pairs, scale);
                 });
             }
             Kind::Dense {
@@ -805,11 +767,22 @@ impl Prepared {
                 }
             }
             Kind::Keyed { kmask, kval, phase } => {
-                for (k, a) in chunk.iter_mut().enumerate() {
-                    if (base + k) & kmask == *kval {
-                        *a *= *phase;
-                    }
+                // Key bits above the chunk come from its base (an
+                // unsatisfiable key has a value bit outside its mask).
+                // Inside it, the matching amplitudes form strips (the run
+                // below the lowest key bit), one per setting of the free
+                // bits.
+                let lmask = chunk.len() - 1;
+                let hi = kmask & !lmask;
+                if kval & !kmask != 0 || base & hi != kval & hi {
+                    return;
                 }
+                let lo = kmask & lmask;
+                let strip = 1usize << (lo | chunk.len()).trailing_zeros();
+                let at = kval & lo;
+                for_each_subset(lmask & !lo & !(strip - 1), |g| {
+                    scale_run(&mut chunk[g | at..(g | at) + strip], *phase);
+                });
             }
             Kind::Swap { pa, pb } => {
                 for i in 0..chunk.len() {
@@ -829,89 +802,73 @@ impl Prepared {
         }
     }
 
-    /// `true` for a permutation (a CX/X/SWAP ladder or a monomial block).
-    /// Its whole-array sweep wins from the parallel threshold through the
-    /// index-space split, unlike the arithmetic kinds (see
-    /// [`wide_sweep_parallel`]).
-    pub(crate) fn is_permutation(&self) -> bool {
-        matches!(self.kind, Kind::Permutation { .. })
-    }
-
-    /// Applies the op to the whole flat amplitude array, parallelizing over
-    /// group **index space** (contiguous ranges of group ranks) instead of
-    /// slicing the array. Used by the flat engine when `span` exceeds its
-    /// tile — including ops whose support reaches qubit 0 (the most
-    /// significant bit), which span the entire array and used to fall back
-    /// to a single thread under slice splitting. The per-amplitude
-    /// arithmetic mirrors [`Prepared::apply_local`] exactly.
+    /// Applies the op to the whole flat amplitude array. Used by the flat
+    /// engine when `span` exceeds its tile — including ops whose support
+    /// reaches qubit 0 (the most significant bit), which span the entire
+    /// array.
     ///
     /// With a single worker the whole array is one aligned chunk, so the
     /// sweep routes through [`Prepared::apply_local`] and its laned (AVX2
-    /// when available) loops; the index-space split below only takes over
-    /// when there is real parallelism to distribute. Both paths execute the
-    /// same per-group arithmetic, so outputs are bit-identical.
+    /// when available) loops; the index-space split of
+    /// [`Prepared::apply_spread`] only takes over when there is real
+    /// parallelism to distribute. Both paths execute the same per-group
+    /// arithmetic, so outputs are bit-identical.
     pub(crate) fn apply_sweep(&self, amps: &mut [Complex64], parallel: bool) {
         if !parallel || rayon::current_num_threads() <= 1 {
             self.apply_local(0, amps);
             return;
         }
-        self.apply_sweep_impl(amps, parallel);
+        let dim = amps.len();
+        self.apply_spread(&Amps::flat(amps), dim, true);
     }
 
-    fn apply_sweep_impl(&self, amps: &mut [Complex64], parallel: bool) {
-        let dim = amps.len();
-        let gmask = (dim - 1) & !self.smask;
-        let ptr = SyncPtr(amps.as_mut_ptr());
-        macro_rules! at {
-            ($idx:expr) => {
-                *ptr.at($idx)
-            };
+    /// Applies the op across shard boundaries. Used by the sharded engine
+    /// when `span` exceeds the shard length; the arithmetic per amplitude
+    /// is identical to the local path (and to the flat engine), only the
+    /// addressing differs. Dense/sparse kernels are the true *exchanges*:
+    /// they gather a group from several shards of the family, multiply,
+    /// and scatter back. Permutations move whole strips between shards.
+    pub(crate) fn apply_cross(&self, shards: &mut [Vec<Complex64>], dim: usize, parallel: bool) {
+        self.apply_spread(&Amps::shards(shards), dim, parallel);
+    }
+
+    /// The index-space split shared by [`Prepared::apply_sweep`] and
+    /// [`Prepared::apply_cross`]. It parallelizes over group *index space*
+    /// (contiguous ranges of group ranks) instead of slicing the array, so
+    /// an op whose support includes the most significant bit still fans
+    /// out across worker threads: distinct groups address disjoint
+    /// amplitude sets. An op that fits one chunk of the split runs
+    /// [`Prepared::apply_local`] chunk by chunk; a permutation moves whole
+    /// strips.
+    fn apply_spread(&self, amps: &Amps, dim: usize, parallel: bool) {
+        let workers = if parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        let mut chunk = amps.run();
+        while chunk > 1 && dim / chunk < workers {
+            chunk >>= 1;
         }
+        if self.span <= chunk {
+            // Safety: chunks are aligned runs inside one shard, disjoint
+            // across groups.
+            sweep_groups((dim - 1) & !(chunk - 1), parallel, |base| unsafe {
+                self.apply_local(base, std::slice::from_raw_parts_mut(amps.at(base), chunk));
+            });
+            return;
+        }
+        let gmask = (dim - 1) & !self.smask;
+        // Safety of every access below: group `off` only touches amplitudes
+        // `off | s` with `s` inside the support, and groups are disjoint.
         match &self.kind {
-            Kind::Diagonal { active } => {
-                sweep_groups(gmask, parallel, |off| {
-                    for &(off0, phase) in active {
-                        // Safety: group `off` only touches its own offsets.
-                        unsafe { at!(off0 + off) *= phase };
-                    }
-                });
+            Kind::Diagonal { .. } | Kind::Keyed { .. } | Kind::Phase { .. } => {
+                unreachable!("span-1 kinds apply chunk by chunk")
             }
-            Kind::Permutation {
-                cycles,
-                fixed,
-                pairs,
-                ..
-            } => {
-                if cycles.is_empty() && fixed.is_empty() {
-                    return;
-                }
-                if let Some(pairs) = pairs {
-                    sweep_groups(gmask, parallel, |off| unsafe {
-                        for &(a, b) in pairs {
-                            std::ptr::swap(ptr.at(off + a as usize), ptr.at(off + b as usize));
-                        }
-                    });
-                    return;
-                }
-                sweep_groups(gmask, parallel, |off| unsafe {
-                    for cy in cycles {
-                        let m = cy.offs.len();
-                        let tmp = at!(off + cy.offs[m - 1]);
-                        if cy.trivial {
-                            for i in (1..m).rev() {
-                                at!(off + cy.offs[i]) = at!(off + cy.offs[i - 1]);
-                            }
-                            at!(off + cy.offs[0]) = tmp;
-                        } else {
-                            for i in (1..m).rev() {
-                                at!(off + cy.offs[i]) = cy.phs[i - 1] * at!(off + cy.offs[i - 1]);
-                            }
-                            at!(off + cy.offs[0]) = cy.phs[m - 1] * tmp;
-                        }
-                    }
-                    for &(o, p) in fixed {
-                        at!(off + o) *= p;
-                    }
+            Kind::Permutation { pairs, scale } => {
+                let strip = (1usize << self.smask.trailing_zeros()).min(amps.run());
+                sweep_groups(gmask & !(strip - 1), parallel, |g| unsafe {
+                    permute_strips(|o| amps.at(g + o), strip, pairs, scale);
                 });
             }
             Kind::Dense {
@@ -929,14 +886,14 @@ impl Prepared {
                     let mut buf = [Complex64::ZERO; MAX_BLOCK_DIM];
                     unsafe {
                         for (b, s) in buf[..*kdim].iter_mut().zip(scatter) {
-                            *b = at!(off + *s);
+                            *b = *amps.at(off + *s);
                         }
                         for (row, mrow) in flat.chunks_exact(*kdim).enumerate() {
                             let mut acc = Complex64::ZERO;
                             for (mc, bc) in mrow.iter().zip(&buf[..*kdim]) {
                                 acc += *mc * *bc;
                             }
-                            at!(off + scatter[row]) = acc;
+                            *amps.at(off + scatter[row]) = acc;
                         }
                     }
                 });
@@ -947,23 +904,24 @@ impl Prepared {
                     unsafe {
                         for comp in comps {
                             match comp.offs.len() {
-                                1 => at!(off + comp.offs[0]) *= comp.flat[0],
+                                1 => *amps.at(off + comp.offs[0]) *= comp.flat[0],
                                 2 => {
-                                    let a0 = at!(off + comp.offs[0]);
-                                    let a1 = at!(off + comp.offs[1]);
-                                    at!(off + comp.offs[0]) = comp.flat[0] * a0 + comp.flat[1] * a1;
-                                    at!(off + comp.offs[1]) = comp.flat[2] * a0 + comp.flat[3] * a1;
+                                    let (p0, p1) =
+                                        (amps.at(off + comp.offs[0]), amps.at(off + comp.offs[1]));
+                                    let (a0, a1) = (*p0, *p1);
+                                    *p0 = comp.flat[0] * a0 + comp.flat[1] * a1;
+                                    *p1 = comp.flat[2] * a0 + comp.flat[3] * a1;
                                 }
                                 md => {
                                     for (b, o) in buf[..md].iter_mut().zip(&comp.offs) {
-                                        *b = at!(off + *o);
+                                        *b = *amps.at(off + *o);
                                     }
                                     for (row, mrow) in comp.flat.chunks_exact(md).enumerate() {
                                         let mut acc = Complex64::ZERO;
                                         for (mc, bc) in mrow.iter().zip(&buf[..md]) {
                                             acc += *mc * *bc;
                                         }
-                                        at!(off + comp.offs[row]) = acc;
+                                        *amps.at(off + comp.offs[row]) = acc;
                                     }
                                 }
                             }
@@ -983,193 +941,118 @@ impl Prepared {
                         return;
                     }
                     unsafe {
-                        let a0 = at!(i);
-                        let a1 = at!(i + stride);
-                        at!(i) = u[0] * a0 + u[1] * a1;
-                        at!(i + stride) = u[2] * a0 + u[3] * a1;
+                        let (p0, p1) = (amps.at(i), amps.at(i + stride));
+                        let (a0, a1) = (*p0, *p1);
+                        *p0 = u[0] * a0 + u[1] * a1;
+                        *p1 = u[2] * a0 + u[3] * a1;
                     }
                 });
-            }
-            Kind::Keyed { kmask, kval, phase } => {
-                let apply = |(k, a): (usize, &mut Complex64)| {
-                    if k & kmask == *kval {
-                        *a *= *phase;
-                    }
-                };
-                if parallel {
-                    amps.par_iter_mut().enumerate().for_each(apply);
-                } else {
-                    amps.iter_mut().enumerate().for_each(apply);
-                }
             }
             Kind::Swap { pa, pb } => {
                 let (ba, bb) = (1usize << pa, 1usize << pb);
                 sweep_groups((dim - 1) & !(ba | bb), parallel, |off| unsafe {
-                    let i = off | ba;
-                    let j = off | bb;
-                    let tmp = at!(i);
-                    at!(i) = at!(j);
-                    at!(j) = tmp;
+                    std::ptr::swap(amps.at(off | ba), amps.at(off | bb));
                 });
-            }
-            Kind::Phase { phase } => {
-                let apply = |(_, a): (usize, &mut Complex64)| {
-                    *a *= *phase;
-                };
-                if parallel {
-                    amps.par_iter_mut().enumerate().for_each(apply);
-                } else {
-                    amps.iter_mut().enumerate().for_each(apply);
-                }
             }
         }
     }
+}
 
-    /// Applies the op across shard boundaries, element-wise over absolute
-    /// physical indices. Used by the sharded engine when `span` exceeds the
-    /// shard length; the arithmetic per amplitude is identical to the local
-    /// path (and to the flat engine) — only the addressing differs.
-    /// Dense/sparse kernels are the true *exchanges*: they gather a group
-    /// from several shards of the family, multiply, and scatter back.
-    /// Diagonal and permutation kernels never need a gather buffer.
-    pub(crate) fn apply_cross(&self, shards: &mut [Vec<Complex64>], local_bits: usize, dim: usize) {
-        let lmask = (1usize << local_bits) - 1;
-        macro_rules! at {
-            ($idx:expr) => {
-                shards[$idx >> local_bits][$idx & lmask]
-            };
+/// Amplitude addressing of [`Prepared::apply_spread`]: runs of
+/// `1 << bits` contiguous amplitudes, one per pointer — the whole flat
+/// array, or one shard each.
+struct Amps {
+    ptrs: Vec<*mut Complex64>,
+    bits: u32,
+}
+
+// Safety: every parallel caller partitions a group index space whose
+// members address disjoint amplitudes, so no two workers touch one element.
+unsafe impl Send for Amps {}
+unsafe impl Sync for Amps {}
+
+impl Amps {
+    fn flat(amps: &mut [Complex64]) -> Self {
+        Amps {
+            ptrs: vec![amps.as_mut_ptr()],
+            bits: amps.len().trailing_zeros(),
         }
-        let gmask = (dim - 1) & !self.smask;
-        match &self.kind {
-            Kind::Diagonal { active } => {
-                for &(off0, phase) in active {
-                    for_each_subset(gmask, |off| {
-                        at!(off0 + off) *= phase;
-                    });
-                }
-            }
-            Kind::Permutation { cycles, fixed, .. } => {
-                if cycles.is_empty() && fixed.is_empty() {
-                    return;
-                }
-                for_each_subset(gmask, |off| {
-                    for cy in cycles {
-                        let m = cy.offs.len();
-                        let tmp = at!(off + cy.offs[m - 1]);
-                        if cy.trivial {
-                            for i in (1..m).rev() {
-                                at!(off + cy.offs[i]) = at!(off + cy.offs[i - 1]);
-                            }
-                            at!(off + cy.offs[0]) = tmp;
-                        } else {
-                            for i in (1..m).rev() {
-                                at!(off + cy.offs[i]) = cy.phs[i - 1] * at!(off + cy.offs[i - 1]);
-                            }
-                            at!(off + cy.offs[0]) = cy.phs[m - 1] * tmp;
-                        }
-                    }
-                    for &(o, p) in fixed {
-                        at!(off + o) *= p;
-                    }
-                });
-            }
-            Kind::Dense {
-                scatter,
-                flat,
-                kdim,
-                cmask,
-                cval,
-                ..
-            } => {
-                let mut buf = [Complex64::ZERO; MAX_BLOCK_DIM];
-                for_each_subset(gmask, |off| {
-                    if off & cmask != *cval {
-                        return;
-                    }
-                    for (b, s) in buf[..*kdim].iter_mut().zip(scatter) {
-                        *b = at!(off + *s);
-                    }
-                    for (row, mrow) in flat.chunks_exact(*kdim).enumerate() {
-                        let mut acc = Complex64::ZERO;
-                        for (mc, bc) in mrow.iter().zip(&buf[..*kdim]) {
-                            acc += *mc * *bc;
-                        }
-                        at!(off + scatter[row]) = acc;
-                    }
-                });
-            }
-            Kind::Sparse { comps } => {
-                let mut buf = [Complex64::ZERO; MAX_BLOCK_DIM];
-                for_each_subset(gmask, |off| {
-                    for comp in comps {
-                        match comp.offs.len() {
-                            1 => at!(off + comp.offs[0]) *= comp.flat[0],
-                            2 => {
-                                let a0 = at!(off + comp.offs[0]);
-                                let a1 = at!(off + comp.offs[1]);
-                                at!(off + comp.offs[0]) = comp.flat[0] * a0 + comp.flat[1] * a1;
-                                at!(off + comp.offs[1]) = comp.flat[2] * a0 + comp.flat[3] * a1;
-                            }
-                            md => {
-                                for (b, o) in buf[..md].iter_mut().zip(&comp.offs) {
-                                    *b = at!(off + *o);
-                                }
-                                for (row, mrow) in comp.flat.chunks_exact(md).enumerate() {
-                                    let mut acc = Complex64::ZERO;
-                                    for (mc, bc) in mrow.iter().zip(&buf[..md]) {
-                                        acc += *mc * *bc;
-                                    }
-                                    at!(off + comp.offs[row]) = acc;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            Kind::CtrlSingle {
-                stride,
-                cmask,
-                cval,
-                u,
-            } => {
-                let pair_mask = (dim - 1) & !stride;
-                for_each_subset(pair_mask, |i| {
-                    if i & cmask != *cval {
-                        return;
-                    }
-                    let a0 = at!(i);
-                    let a1 = at!(i + stride);
-                    at!(i) = u[0] * a0 + u[1] * a1;
-                    at!(i + stride) = u[2] * a0 + u[3] * a1;
-                });
-            }
-            // Keyed and global phases have span 1 and are always local;
-            // Swap never needs a buffer either way.
-            Kind::Keyed { kmask, kval, phase } => {
-                for i in 0..dim {
-                    if i & kmask == *kval {
-                        at!(i) *= *phase;
-                    }
-                }
-            }
-            Kind::Swap { pa, pb } => {
-                let (ba, bb) = (1usize << pa, 1usize << pb);
-                for_each_subset((dim - 1) & !(ba | bb), |off| {
-                    let i = off | ba;
-                    let j = off | bb;
-                    let tmp = at!(i);
-                    at!(i) = at!(j);
-                    at!(j) = tmp;
-                });
-            }
-            Kind::Phase { phase } => {
-                for shard in shards.iter_mut() {
-                    for a in shard.iter_mut() {
-                        *a *= *phase;
-                    }
-                }
-            }
+    }
+
+    fn shards(shards: &mut [Vec<Complex64>]) -> Self {
+        Amps {
+            bits: shards[0].len().trailing_zeros(),
+            ptrs: shards.iter_mut().map(|s| s.as_mut_ptr()).collect(),
         }
+    }
+
+    /// Amplitudes per contiguous run.
+    fn run(&self) -> usize {
+        1 << self.bits
+    }
+
+    /// Address of amplitude `i`. Safety: `i` must be below the dimension.
+    #[inline(always)]
+    unsafe fn at(&self, i: usize) -> *mut Complex64 {
+        self.ptrs
+            .get_unchecked(i >> self.bits)
+            .add(i & (self.run() - 1))
+    }
+}
+
+/// Moves and scales one group of a permutation: `at(o)` is the first
+/// amplitude of the strip at slot offset `o`, each strip `strip`
+/// consecutive amplitudes. All swaps come first, then the image phases, so
+/// each amplitude takes one multiply, as in the cycle walk the swaps spell
+/// out.
+///
+/// Safety: `at` must address `strip` valid amplitudes per slot, disjoint
+/// across the slots of `pairs` and `scale`.
+#[inline(always)]
+unsafe fn permute_strips(
+    at: impl Fn(usize) -> *mut Complex64,
+    strip: usize,
+    pairs: &[(usize, usize)],
+    scale: &[(usize, Complex64)],
+) {
+    for &(a, b) in pairs {
+        std::ptr::swap_nonoverlapping(at(a), at(b), strip);
+    }
+    for &(o, e) in scale {
+        scale_run(std::slice::from_raw_parts_mut(at(o), strip), e);
+    }
+}
+
+/// Multiplies a contiguous run of amplitudes by `e`, four lanes at a time.
+#[inline(always)]
+fn scale_run(run: &mut [Complex64], e: Complex64) {
+    let ph = C64x4::splat(e);
+    let mut quads = run.chunks_exact_mut(4);
+    for q in &mut quads {
+        let out = C64x4::gather(q[0], q[1], q[2], q[3]) * ph;
+        for (k, a) in q.iter_mut().enumerate() {
+            *a = out.lane(k);
+        }
+    }
+    for a in quads.into_remainder() {
+        *a *= e;
+    }
+}
+
+/// Multiplies a contiguous run of amplitudes by a slice of table entries of
+/// the same length, four lanes at a time.
+#[inline(always)]
+fn mul_runs(run: &mut [Complex64], table: &[Complex64]) {
+    let mut quads = run.chunks_exact_mut(4);
+    let mut entries = table.chunks_exact(4);
+    for (q, t) in (&mut quads).zip(&mut entries) {
+        let out = C64x4::gather(q[0], q[1], q[2], q[3]) * C64x4::gather(t[0], t[1], t[2], t[3]);
+        for (k, a) in q.iter_mut().enumerate() {
+            *a = out.lane(k);
+        }
+    }
+    for (a, t) in quads.into_remainder().iter_mut().zip(entries.remainder()) {
+        *a *= *t;
     }
 }
 
@@ -1237,18 +1120,17 @@ pub(crate) fn sweep_parallel(dim: usize) -> bool {
 }
 
 /// Multiple of [`parallel_threshold`] from which an op wider than a fused
-/// tile, other than a permutation, takes [`Prepared::apply_sweep`]'s
-/// index-space split. The split runs scalar per-group code, so on two
-/// threads a dense op (the `crossover` binary's widest-span column), a
-/// controlled single-qubit gate or a keyed phase does not beat the laned
-/// serial sweep below 2¹⁸ amplitudes. Permutations are the exception: a
-/// 17-qubit CX ladder's fused replay took 8.4 ms with its wide ops split
-/// and 13.9 ms with them serial.
+/// tile takes [`Prepared::apply_sweep`]'s index-space split. In the
+/// `crossover` binary's top-support rows on two threads, a dense 2-qubit op
+/// wins split only from 2¹⁷ amplitudes, a controlled single-qubit gate
+/// loses to its laned serial sweep at every size up to 2¹⁸, and a 10-qubit
+/// permutation, whose strips form a single group, never wins split (1.00–1.13
+/// of serial from 2¹⁴ to 2¹⁸ over two runs).
 const WIDE_SWEEP_FACTOR: usize = 4;
 
-/// `true` when an op wider than a fused tile, other than a permutation,
-/// should sweep `dim` amplitudes through the index-space parallel split. A
-/// threshold of `0` still forces the split.
+/// `true` when an op wider than a fused tile should sweep `dim` amplitudes
+/// through the index-space parallel split. A threshold of `0` still forces
+/// the split.
 pub(crate) fn wide_sweep_parallel(dim: usize) -> bool {
     dim >= parallel_threshold().saturating_mul(WIDE_SWEEP_FACTOR)
 }
@@ -1256,6 +1138,7 @@ pub(crate) fn wide_sweep_parallel(dim: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ghs_circuit::ControlBit;
 
     #[test]
     fn wide_sweeps_split_from_four_times_the_threshold() {
@@ -1265,6 +1148,159 @@ mod tests {
         assert!(sweep_parallel(t));
         if t > 0 {
             assert!(!wide_sweep_parallel(wide - 1));
+        }
+    }
+
+    /// Applies `op` to `amps` one amplitude at a time: the oracle of every
+    /// diagonal, permutation and keyed-phase walk. A diagonal multiplies
+    /// every amplitude by its entry, a permutation only those with a
+    /// non-unit phase and a keyed phase only those its key selects, which
+    /// shows on signed zeros.
+    fn oracle(n: usize, op: &FusedOp, amps: &[Complex64]) -> Vec<Complex64> {
+        let k = op.qubits.len();
+        let pos: Vec<usize> = op.qubits.iter().map(|q| n - 1 - q).collect();
+        let local = |i: usize| (0..k).fold(0usize, |l, j| l | ((i >> pos[j]) & 1) << (k - 1 - j));
+        let mut out = amps.to_vec();
+        for (i, &a) in amps.iter().enumerate() {
+            let l = local(i);
+            match &op.kernel {
+                FusedKernel::Diagonal(table) => out[i] = a * table[l],
+                FusedKernel::Permutation { targets, phases } => {
+                    let t = targets[l] as usize;
+                    let mut dest = i;
+                    for (j, p) in pos.iter().enumerate() {
+                        dest = dest & !(1 << p) | ((t >> (k - 1 - j)) & 1) << p;
+                    }
+                    out[dest] = if phases[l] == Complex64::ONE {
+                        a
+                    } else {
+                        phases[l] * a
+                    };
+                }
+                FusedKernel::Gate(Gate::KeyedPhase { key, theta }) => {
+                    let hit = key
+                        .iter()
+                        .all(|c| (i >> (n - 1 - c.qubit) & 1) as u8 == c.value);
+                    if hit {
+                        out[i] = a * Complex64::cis(*theta);
+                    }
+                }
+                _ => unreachable!(),
+            }
+        }
+        out
+    }
+
+    fn assert_bits(got: &[Complex64], want: &[Complex64], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                (g.re.to_bits(), g.im.to_bits()),
+                (w.re.to_bits(), w.im.to_bits()),
+                "{what}: amplitude {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn diagonal_permutation_and_keyed_walks_match_their_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x57_1125);
+        for case in 0..180 {
+            let n = rng.gen_range(2..=11usize);
+            let k = rng.gen_range(1..=n.min(8));
+            // Distinct qubits in random order: relabeled supports are
+            // unsorted, and sorted ones take the table-slice walk.
+            let mut qubits: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                qubits.swap(i, j);
+            }
+            qubits.truncate(k);
+            if case % 2 == 0 {
+                qubits.sort_unstable();
+            }
+            let dim_k = 1usize << k;
+            let phase = |rng: &mut StdRng, keep: f64| {
+                if rng.gen_bool(keep) {
+                    Complex64::ONE
+                } else {
+                    Complex64::cis(rng.gen_range(-3.0..3.0))
+                }
+            };
+            // Every active fraction: all, about half, one entry.
+            let keep = [0.0, 0.5, 1.0 - 1.0 / dim_k as f64][case % 3];
+            let kernel = if case % 9 < 3 {
+                FusedKernel::Diagonal((0..dim_k).map(|_| phase(&mut rng, keep)).collect())
+            } else if case % 9 >= 6 {
+                // A key on the support, one value per qubit; the last
+                // case of each three repeats a qubit with the other value,
+                // which no amplitude satisfies.
+                let mut key: Vec<ControlBit> = qubits
+                    .iter()
+                    .map(|&q| ControlBit {
+                        qubit: q,
+                        value: rng.gen_range(0..2u8),
+                    })
+                    .collect();
+                if case % 3 == 2 {
+                    key.push(ControlBit {
+                        qubit: key[0].qubit,
+                        value: 1 - key[0].value,
+                    });
+                }
+                FusedKernel::Gate(Gate::KeyedPhase {
+                    key,
+                    theta: rng.gen_range(-3.0..3.0),
+                })
+            } else {
+                let mut targets: Vec<u32> = (0..dim_k as u32).collect();
+                for i in (1..dim_k).rev() {
+                    targets.swap(i, rng.gen_range(0..=i));
+                }
+                let phases = (0..dim_k).map(|_| phase(&mut rng, keep)).collect();
+                FusedKernel::Permutation { targets, phases }
+            };
+            let op = FusedOp { qubits, kernel };
+            let prepared = Prepared::build(n, &op);
+            // Signed zeros among the amplitudes: `(+0, −0)·1` is `(+0, +0)`.
+            let mut amps = crate::StateVector::random_state(n, &mut rng)
+                .amplitudes()
+                .to_vec();
+            for a in amps.iter_mut() {
+                if rng.gen_bool(0.25) {
+                    *a = Complex64::new(
+                        [0.0, -0.0][rng.gen_range(0..2usize)],
+                        [0.0, -0.0][rng.gen_range(0..2usize)],
+                    );
+                }
+            }
+            let s0 = crate::StateVector::from_amplitudes(n, amps);
+            let want = oracle(n, &op, s0.amplitudes());
+            let dim = 1usize << n;
+            for c in 0..=n {
+                let chunk = 1usize << c;
+                if chunk >= prepared.span {
+                    let mut amps = s0.amplitudes().to_vec();
+                    for (ci, part) in amps.chunks_mut(chunk).enumerate() {
+                        prepared.apply_local(ci * chunk, part);
+                    }
+                    assert_bits(&amps, &want, &format!("case {case}: chunks of {chunk}"));
+                }
+                for parallel in [false, true] {
+                    let mut shards: Vec<Vec<Complex64>> =
+                        s0.amplitudes().chunks(chunk).map(<[_]>::to_vec).collect();
+                    prepared.apply_cross(&mut shards, dim, parallel);
+                    let got: Vec<Complex64> = shards.concat();
+                    let what = format!("case {case}: shards of {chunk}, parallel {parallel}");
+                    assert_bits(&got, &want, &what);
+                }
+            }
+            for parallel in [false, true] {
+                let mut amps = s0.amplitudes().to_vec();
+                prepared.apply_sweep(&mut amps, parallel);
+                assert_bits(&amps, &want, &format!("case {case}: sweep {parallel}"));
+            }
         }
     }
 

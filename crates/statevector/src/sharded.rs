@@ -14,11 +14,13 @@
 //!   **shard-local**: consecutive runs of shard-local ops are applied one
 //!   shard at a time while the shard is cache-hot (cache blocking), so a run
 //!   of `k` ops costs one DRAM sweep instead of `k`;
-//! * ops that touch shard-index bits cross shards: **diagonal** kernels
-//!   still never exchange (each amplitude only meets its own phase),
-//!   **permutations** cross as in-place moves, and dense/sparse kernels
+//! * **diagonal** kernels are always shard-local: their support bits on
+//!   shard-index positions are read off the shard's base, so they join the
+//!   runs above;
+//! * other ops that touch shard-index bits cross shards: **permutations**
+//!   swap whole strips between shards in place, and dense/sparse kernels
 //!   perform gather→multiply→scatter **exchanges** across the affected shard
-//!   family;
+//!   family, split across worker threads by group;
 //! * a [`QubitRelabeling`] chosen per circuit maps hot qubits away from the
 //!   shard-index positions so exchanges are rare; every output boundary
 //!   ([`ShardedStateVector::to_state`], [`ShardedStateVector::probabilities`],
@@ -213,8 +215,10 @@ impl ShardedStateVector {
     /// Applies a fused circuit **already expressed in this state's physical
     /// labels** (i.e. pre-mapped with [`FusedCircuit::relabeled`] under
     /// [`ShardedStateVector::relabeling`]). Runs of shard-local ops are
-    /// cache-blocked per shard; cross-shard ops fall back to element-wise
-    /// family sweeps. In-place: no allocation beyond a stack gather buffer.
+    /// cache-blocked per shard; cross-shard ops fall back to family sweeps
+    /// over group index space. In-place: amplitudes are never copied out of
+    /// their shards; besides the lowered ops, each cross-shard op allocates
+    /// one list of shard pointers.
     pub fn apply_relabeled(&mut self, fused: &FusedCircuit) {
         assert_eq!(
             fused.num_qubits(),
@@ -254,7 +258,7 @@ impl ShardedStateVector {
                 }
                 i = j;
             } else {
-                prepared[i].apply_cross(&mut self.shards, local_bits, 1usize << n);
+                prepared[i].apply_cross(&mut self.shards, 1usize << n, parallel);
                 i += 1;
             }
         }

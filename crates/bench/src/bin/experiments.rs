@@ -554,21 +554,26 @@ fn exp_chem_exact() {
 /// E10 — §V-B2: full-Hamiltonian Trotter error, direct vs usual grouping.
 fn exp_chem_trotter() {
     for model in [hubbard_chain(2, 1.0, 2.0, false), h2_sto3g()] {
-        let rows: Vec<Vec<String>> =
-            trotter_error_sweep(&model, 0.5, &[1, 2, 4, 8], ProductFormula::First)
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.steps.to_string(),
-                        fmt_f(r.direct_error),
-                        fmt_f(r.direct_energy_error),
-                        r.direct_factors.to_string(),
-                        fmt_f(r.usual_error),
-                        fmt_f(r.usual_energy_error),
-                        r.usual_factors.to_string(),
-                    ]
-                })
-                .collect();
+        let rows: Vec<Vec<String>> = trotter_error_sweep(
+            &FusedStatevector,
+            &model,
+            0.5,
+            &[1, 2, 4, 8],
+            ProductFormula::First,
+        )
+        .iter()
+        .map(|r| {
+            vec![
+                r.steps.to_string(),
+                fmt_f(r.direct_error),
+                fmt_f(r.direct_energy_error),
+                r.direct_factors.to_string(),
+                fmt_f(r.usual_error),
+                fmt_f(r.usual_energy_error),
+                r.usual_factors.to_string(),
+            ]
+        })
+        .collect();
         print_table(
             &format!(
                 "E10 / §V-B2 — first-order Trotter error, {} (t = 0.5)",
@@ -731,7 +736,7 @@ fn exp_measurement() {
     let state = StateVector::random_state(4, &mut rng);
     let exact = state.expectation_dense(&term.matrix()).re;
     let single_setting = meas.exact(&state);
-    let sampled = meas.estimate(&state, 40_000, &mut rng);
+    let sampled = meas.estimate(&FusedStatevector, &state, 40_000, 21);
     let usual_settings = TermMeasurement::usual_setting_count(&term);
     let grouped_settings = TermMeasurement::grouped_setting_count(&term);
     let rows = vec![
@@ -817,7 +822,7 @@ fn exp_multi_product_formula() {
         let c = direct_product_formula(&h, t, steps, ProductFormula::First, &opts);
         rows.push(vec![
             format!("first-order, {steps} step(s)"),
-            fmt_f(state_error(&c, &sparse, t, &psi)),
+            fmt_f(state_error(&FusedStatevector, &c, &sparse, t, &psi)),
         ]);
     }
     rows.push(vec![
@@ -880,7 +885,7 @@ fn exp_grover_adaptive_search() {
         &rows,
     );
     let mut rng = StdRng::seed_from_u64(17);
-    let result = grover_adaptive_search(&p, m, 8, &mut rng);
+    let result = grover_adaptive_search(&FusedStatevector, &p, m, 8, &mut rng);
     let (best, best_cost) = p.brute_force_minimum();
     print_table(
         "EX3b — Grover Adaptive Search result",

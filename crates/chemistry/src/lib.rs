@@ -19,8 +19,7 @@ pub use models::{
     ElectronicModel, TwoOrbitalIntegrals,
 };
 pub use transitions::{transition_resources, ElectronicTransition, TransitionResources};
-pub use trotter_error::{trotter_error_sweep, trotter_error_sweep_with, TrotterErrorRow};
+pub use trotter_error::{trotter_error_sweep, TrotterErrorRow};
 pub use uccsd::{
-    run_vqe, uccsd_circuit, uccsd_energy, uccsd_energy_grouped, uccsd_energy_with,
-    uccsd_parameterized, uccsd_pool, Excitation, VqeResult,
+    run_vqe, uccsd_circuit, uccsd_energy, uccsd_parameterized, uccsd_pool, Excitation, VqeResult,
 };

@@ -8,7 +8,7 @@
 
 use crate::models::ElectronicModel;
 use ghs_circuit::LadderStyle;
-use ghs_core::backend::{Backend, FusedStatevector, InitialState};
+use ghs_core::backend::{Backend, InitialState};
 use ghs_core::{direct_product_formula, usual_product_formula, DirectOptions, ProductFormula};
 use ghs_math::expm_multiply_minus_i_theta;
 use ghs_statevector::StateVector;
@@ -35,20 +35,10 @@ pub struct TrotterErrorRow {
 }
 
 /// Measures `‖U_formula|ψ⟩ − e^{−itH}|ψ⟩‖` for both strategies across a step
-/// sweep, starting from the Hartree–Fock state of the model.
+/// sweep, starting from the Hartree–Fock state of the model and evolving
+/// through `backend`; with a noisy trajectory backend the rows measure the
+/// combined Trotter-plus-noise error.
 pub fn trotter_error_sweep(
-    model: &ElectronicModel,
-    t: f64,
-    steps_list: &[usize],
-    order: ProductFormula,
-) -> Vec<TrotterErrorRow> {
-    trotter_error_sweep_with(&FusedStatevector, model, t, steps_list, order)
-}
-
-/// [`trotter_error_sweep`] through an arbitrary execution [`Backend`]; with
-/// a noisy trajectory backend the rows measure the combined
-/// Trotter-plus-noise error.
-pub fn trotter_error_sweep_with(
     backend: &dyn Backend,
     model: &ElectronicModel,
     t: f64,
@@ -99,11 +89,18 @@ pub fn trotter_error_sweep_with(
 mod tests {
     use super::*;
     use crate::models::{h2_sto3g, hubbard_chain};
+    use ghs_core::backend::FusedStatevector;
 
     #[test]
     fn both_strategies_converge_for_hubbard() {
         let model = hubbard_chain(2, 1.0, 2.0, false);
-        let rows = trotter_error_sweep(&model, 0.8, &[1, 2, 4, 8, 16], ProductFormula::First);
+        let rows = trotter_error_sweep(
+            &FusedStatevector,
+            &model,
+            0.8,
+            &[1, 2, 4, 8, 16],
+            ProductFormula::First,
+        );
         for w in rows.windows(2) {
             assert!(w[1].direct_error <= w[0].direct_error + 1e-12);
             assert!(w[1].usual_error <= w[0].usual_error + 1e-12);
@@ -128,7 +125,13 @@ mod tests {
     #[test]
     fn h2_direct_grouping_has_fewer_factors() {
         let model = h2_sto3g();
-        let rows = trotter_error_sweep(&model, 0.5, &[1, 4], ProductFormula::First);
+        let rows = trotter_error_sweep(
+            &FusedStatevector,
+            &model,
+            0.5,
+            &[1, 4],
+            ProductFormula::First,
+        );
         assert!(rows[0].direct_factors < rows[0].usual_factors);
         assert!(rows[1].direct_error < rows[0].direct_error);
         assert!(rows[1].usual_error < rows[0].usual_error);
@@ -137,8 +140,10 @@ mod tests {
     #[test]
     fn second_order_is_more_accurate_than_first() {
         let model = hubbard_chain(2, 1.0, 1.5, false);
-        let first = trotter_error_sweep(&model, 0.6, &[2], ProductFormula::First);
-        let second = trotter_error_sweep(&model, 0.6, &[2], ProductFormula::Second);
+        let first =
+            trotter_error_sweep(&FusedStatevector, &model, 0.6, &[2], ProductFormula::First);
+        let second =
+            trotter_error_sweep(&FusedStatevector, &model, 0.6, &[2], ProductFormula::Second);
         assert!(second[0].direct_error < first[0].direct_error);
         assert!(second[0].usual_error < first[0].usual_error);
     }

@@ -9,12 +9,12 @@
 
 use crate::models::ElectronicModel;
 use ghs_circuit::{Circuit, ParameterizedCircuit};
-use ghs_core::backend::{Backend, FusedStatevector, InitialState};
+use ghs_core::backend::{Backend, InitialState};
 use ghs_core::optimize::{minimize_adam, AdamOptions};
 use ghs_core::{direct_term_circuit, DirectOptions};
 use ghs_math::Complex64;
 use ghs_operators::{FermionTerm, HermitianTerm};
-use ghs_statevector::StateVector;
+use ghs_statevector::{GroupedPauliSum, StateVector};
 use rand::Rng;
 
 /// One excitation operator of the UCCSD pool.
@@ -129,45 +129,15 @@ pub fn uccsd_parameterized(
     })
 }
 
-/// Energy of the ansatz at the given angles (through the default fused
-/// backend; see [`uccsd_energy_with`]).
+/// Energy of the ansatz at the given angles through an execution
+/// [`Backend`], against a **prepared** matrix-free observable
+/// ([`ElectronicModel::grouped_observable`]; prepare it once per model). The
+/// evaluation goes through [`Backend::expectation`], so a stochastic backend
+/// reports the ensemble-averaged energy under its noise channel.
 pub fn uccsd_energy(
-    model: &ElectronicModel,
-    pool: &[Excitation],
-    thetas: &[f64],
-    opts: &DirectOptions,
-) -> f64 {
-    uccsd_energy_with(&FusedStatevector, model, pool, thetas, opts)
-}
-
-/// Energy of the ansatz through an arbitrary execution [`Backend`]. Builds
-/// the observable on every call; optimisation loops should prepare it once
-/// and use [`uccsd_energy_grouped`].
-pub fn uccsd_energy_with(
     backend: &dyn Backend,
     model: &ElectronicModel,
-    pool: &[Excitation],
-    thetas: &[f64],
-    opts: &DirectOptions,
-) -> f64 {
-    uccsd_energy_grouped(
-        backend,
-        model,
-        &model.grouped_observable(),
-        pool,
-        thetas,
-        opts,
-    )
-}
-
-/// Energy of the ansatz against a **prepared** matrix-free observable — the
-/// hot path of [`run_vqe`]'s inner loop. The evaluation goes through
-/// [`Backend::expectation`], so a stochastic backend reports the
-/// ensemble-averaged energy under its noise channel.
-pub fn uccsd_energy_grouped(
-    backend: &dyn Backend,
-    model: &ElectronicModel,
-    observable: &ghs_statevector::GroupedPauliSum,
+    observable: &GroupedPauliSum,
     pool: &[Excitation],
     thetas: &[f64],
     opts: &DirectOptions,
@@ -327,7 +297,7 @@ mod tests {
 
     #[test]
     fn ansatz_gradients_agree_adjoint_vs_shift() {
-        use ghs_core::parameter_shift_gradient;
+        use ghs_core::{parameter_shift_gradient, FusedStatevector};
         let model = h2_sto3g();
         let pool = uccsd_pool(&model);
         let ansatz = uccsd_parameterized(&model, &pool, &DirectOptions::linear());

@@ -4,11 +4,10 @@
 //! per gate; on the deep Trotter/QAOA/QFT circuits this workspace produces,
 //! memory traffic — not arithmetic — dominates. This pass greedily merges
 //! runs of adjacent gates whose supports overlap into small `k`-qubit blocks
-//! (`k ≤ 4` by default, hard ceiling [`MAX_DENSE_QUBITS`]` = 5` via
-//! [`FusionOptions`]; diagonal-only and monomial-only blocks may grow to 10
-//! qubits), then
-//! classifies every block into the cheapest kernel the simulator can apply
-//! in a single sweep:
+//! (`k ≤ 4`; diagonal-only and monomial-only blocks may grow to 10 qubits,
+//! and no block wider than [`MAX_DENSE_QUBITS`]` = 5` is ever densified),
+//! then classifies every block into the cheapest kernel the simulator can
+//! apply in a single sweep:
 //!
 //! * [`FusedKernel::Diagonal`] — the block is diagonal in the computational
 //!   basis (phase/RZ/keyed-phase chains, and CX-ladder ∘ diagonal ∘ ladder⁻¹
@@ -59,7 +58,9 @@ use ghs_math::{CMatrix, Complex64};
 use std::collections::HashMap;
 use std::f64::consts::PI;
 
-/// Hard ceiling on the dense fusion window (`2^5 × 2^5` matrices).
+/// Widest block the pass ever densifies (`2^5 × 2^5` matrices), which
+/// bounds the simulator's gather buffers: monomial blocks up to this width
+/// are classified through their matrix, wider ones straight into tables.
 pub const MAX_DENSE_QUBITS: usize = 5;
 
 /// Entries with modulus below this are treated as structural zeros when a
@@ -71,54 +72,19 @@ const ZERO_TOL: f64 = 1e-15;
 /// Tolerance on `|entry| = 1` when recognising permutation columns.
 const ONE_TOL: f64 = 1e-12;
 
-/// Tuning knobs of the fusion pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FusionOptions {
-    /// Maximum support of a block that must be densified (clamped to
-    /// [`MAX_DENSE_QUBITS`]).
-    pub max_dense_qubits: usize,
-    /// Maximum support of a diagonal-only block (its cost is a `2^k` phase
-    /// table, not a matrix, so it may exceed the dense window).
-    pub max_diagonal_qubits: usize,
-    /// Maximum support of a monomial-only block. A product of monomial gates
-    /// (X/Y/CX/SWAP/McX and everything diagonal) is a phased basis
-    /// permutation, representable as a `2^k` target/phase table rather than a
-    /// matrix, so — like diagonal chains — such blocks may exceed the dense
-    /// window. This is what collapses CX ladders into single table sweeps.
-    pub max_monomial_qubits: usize,
-    /// Split emitted blocks back into per-gate kernels when the block's
-    /// estimated execution cost (see [`FusionPlan::emit`]) exceeds running
-    /// the gates standalone. Widening a block multiplies the per-amplitude
-    /// work of every sweep over it, so a merge that saves one pass can still
-    /// lose; the cost model keeps cheap monomial/diagonal chains fusing
-    /// freely while stopping unprofitable dense growth.
-    pub cost_aware: bool,
-}
+/// Largest support of a block that must be densified.
+pub(crate) const DENSE_LIMIT: usize = 4;
 
-impl Default for FusionOptions {
-    fn default() -> Self {
-        Self {
-            max_dense_qubits: 4,
-            max_diagonal_qubits: 10,
-            max_monomial_qubits: 10,
-            cost_aware: true,
-        }
-    }
-}
+/// Largest support of a diagonal-only block: its cost is a `2^k` phase
+/// table, not a matrix, so it may exceed the dense window.
+pub(crate) const DIAGONAL_LIMIT: usize = 10;
 
-impl FusionOptions {
-    pub(crate) fn dense_limit(&self) -> usize {
-        self.max_dense_qubits.clamp(1, MAX_DENSE_QUBITS)
-    }
-
-    pub(crate) fn diagonal_limit(&self) -> usize {
-        self.max_diagonal_qubits.max(self.dense_limit())
-    }
-
-    pub(crate) fn monomial_limit(&self) -> usize {
-        self.max_monomial_qubits.max(self.dense_limit())
-    }
-}
+/// Largest support of a monomial-only block. A product of monomial gates
+/// (X/Y/CX/SWAP/McX and everything diagonal) is a phased basis permutation,
+/// representable as a `2^k` target/phase table rather than a matrix, so —
+/// like diagonal chains — such blocks may exceed the dense window. This is
+/// what collapses CX ladders into single table sweeps.
+const MONOMIAL_LIMIT: usize = 10;
 
 /// The specialized form of one fused operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -291,20 +257,17 @@ impl FusedCircuit {
 }
 
 impl Circuit {
-    /// Fuses the circuit with default options. See the module docs.
+    /// Runs the fusion pass: structural plan followed by numeric kernel
+    /// emission (see [`plan_fusion`] and [`FusionPlan::emit`], and the
+    /// module docs).
     pub fn fused(&self) -> FusedCircuit {
-        fuse(self, &FusionOptions::default())
+        plan_fusion(self).emit(self)
     }
 
-    /// Fuses the circuit with explicit options.
-    pub fn fused_with(&self, opts: &FusionOptions) -> FusedCircuit {
-        fuse(self, opts)
-    }
-
-    /// Computes only the structural half of the fusion pass (default
-    /// options); reuse it across angle rebindings via [`FusionPlan::emit`].
+    /// Computes only the structural half of the fusion pass; reuse it
+    /// across angle rebindings via [`FusionPlan::emit`].
     pub fn fusion_plan(&self) -> FusionPlan {
-        plan_fusion(self, &FusionOptions::default())
+        plan_fusion(self)
     }
 }
 
@@ -904,7 +867,6 @@ pub struct FusionPlan {
     num_qubits: usize,
     num_gates: usize,
     blocks: Vec<PlanBlock>,
-    cost_aware: bool,
 }
 
 impl FusionPlan {
@@ -964,12 +926,12 @@ impl FusionPlan {
         }
     }
 
-    /// Emits one block, then (when the plan is cost-aware) compares the
-    /// emitted kernel's estimated execution cost against running the block's
-    /// gates standalone and keeps whichever is cheaper. A wide dense block
-    /// multiplies the per-amplitude work of every sweep over it, so a merge
-    /// that looked structurally fine can still lose to a handful of cheap
-    /// per-gate kernels; the comparison happens here because the true kernel
+    /// Emits one block, then compares the emitted kernel's estimated
+    /// execution cost against running the block's gates standalone and
+    /// keeps whichever is cheaper. A wide dense block multiplies the
+    /// per-amplitude work of every sweep over it, so a merge that looked
+    /// structurally fine can still lose to a handful of cheap per-gate
+    /// kernels; the comparison happens here because the true kernel
     /// class (diagonal / permutation / sparse / dense) is only known after
     /// numeric classification. Both sides of the split are deterministic
     /// functions of the block and the bound gates, so plan reuse across
@@ -980,7 +942,7 @@ impl FusionPlan {
         };
         // A diagonal-only block never splits: each non-identity single is a
         // table sweep of cost 1.0, as much as the whole block's table.
-        if !self.cost_aware || b.gates.len() <= 1 || b.diagonal_only {
+        if b.gates.len() <= 1 || b.diagonal_only {
             return vec![op];
         }
         let singles: Vec<FusedOp> = b
@@ -1080,13 +1042,13 @@ fn merge_support(a: &mut Vec<usize>, b: &[usize]) {
 /// [`crate::reorder::commutation_schedule`], keeping whichever yields fewer
 /// blocks (ties go to the source order), so the reordering pass can only
 /// improve the fusion ratio. See [`FusionPlan`].
-pub fn plan_fusion(circuit: &Circuit, opts: &FusionOptions) -> FusionPlan {
-    let in_order = plan_fusion_in_order(circuit, opts);
-    let order = crate::reorder::commutation_schedule(circuit, opts);
+pub fn plan_fusion(circuit: &Circuit) -> FusionPlan {
+    let in_order = plan_fusion_in_order(circuit);
+    let order = crate::reorder::commutation_schedule(circuit);
     if order.iter().copied().eq(0..circuit.len()) {
         return in_order;
     }
-    let scheduled = plan_scan(circuit, opts, &order);
+    let scheduled = plan_scan(circuit, &order);
     if scheduled.blocks.len() < in_order.blocks.len() {
         scheduled
     } else {
@@ -1098,9 +1060,9 @@ pub fn plan_fusion(circuit: &Circuit, opts: &FusionOptions) -> FusionPlan {
 /// reordering pass. This is the baseline [`plan_fusion`] never does worse
 /// than; it is public so benchmarks and the reordering property suite can
 /// compare the two.
-pub fn plan_fusion_in_order(circuit: &Circuit, opts: &FusionOptions) -> FusionPlan {
+pub fn plan_fusion_in_order(circuit: &Circuit) -> FusionPlan {
     let order: Vec<usize> = (0..circuit.len()).collect();
-    plan_scan(circuit, opts, &order)
+    plan_scan(circuit, &order)
 }
 
 /// The greedy merge scan over an explicit gate execution order (a
@@ -1108,10 +1070,7 @@ pub fn plan_fusion_in_order(circuit: &Circuit, opts: &FusionOptions) -> FusionPl
 /// circuit's commutation DAG). Block gate lists hold *source* indices in
 /// scheduled order, so [`FusionPlan::emit`] and angle rebinding work
 /// unchanged.
-fn plan_scan(circuit: &Circuit, opts: &FusionOptions, order: &[usize]) -> FusionPlan {
-    let dense_limit = opts.dense_limit();
-    let diag_limit = opts.diagonal_limit();
-    let mono_limit = opts.monomial_limit();
+fn plan_scan(circuit: &Circuit, order: &[usize]) -> FusionPlan {
     let gates = circuit.gates();
 
     let mut blocks: Vec<PlanBlock> = Vec::new();
@@ -1128,11 +1087,11 @@ fn plan_scan(circuit: &Circuit, opts: &FusionOptions, order: &[usize]) -> Fusion
         let diag = is_diagonal_gate(gate);
         let mono = is_monomial_gate(gate);
         let fusible_alone = if diag {
-            gq.len() <= diag_limit
+            gq.len() <= DIAGONAL_LIMIT
         } else if mono {
-            gq.len() <= mono_limit
+            gq.len() <= MONOMIAL_LIMIT
         } else {
-            gq.len() <= dense_limit
+            gq.len() <= DENSE_LIMIT
         };
 
         // The default merge target: the latest block touching any of the
@@ -1164,11 +1123,11 @@ fn plan_scan(circuit: &Circuit, opts: &FusionOptions, order: &[usize]) -> Fusion
                 return false;
             }
             let fits = if block.diagonal_only && diag {
-                union <= diag_limit
+                union <= DIAGONAL_LIMIT
             } else if block.monomial_only && mono {
-                union <= mono_limit
+                union <= MONOMIAL_LIMIT
             } else {
-                union <= dense_limit
+                union <= DENSE_LIMIT
             };
             if !fits {
                 return false;
@@ -1219,14 +1178,7 @@ fn plan_scan(circuit: &Circuit, opts: &FusionOptions, order: &[usize]) -> Fusion
         num_qubits: circuit.num_qubits(),
         num_gates: circuit.len(),
         blocks,
-        cost_aware: opts.cost_aware,
     }
-}
-
-/// Runs the fusion pass over a circuit: structural plan followed by numeric
-/// kernel emission (see [`plan_fusion`] and [`FusionPlan::emit`]).
-pub fn fuse(circuit: &Circuit, opts: &FusionOptions) -> FusedCircuit {
-    plan_fusion(circuit, opts).emit(circuit)
 }
 
 /// Classifies one planned block into its cheapest kernel against the source
@@ -1486,14 +1438,11 @@ mod tests {
         // second block into the first.
         let mut c = Circuit::new(4);
         c.cx(0, 1).cx(2, 3).cx(1, 2);
-        let f = c.fused_with(&FusionOptions {
-            max_dense_qubits: 3,
-            max_diagonal_qubits: 10,
-            ..FusionOptions::default()
-        });
-        // Either merged into the *latest* block or kept separate — never
-        // reordered before CX(2,3).
-        assert!(f.ops().len() >= 2);
+        let f = c.fused();
+        // CX(1,2) joins the *latest* block touching its qubits, CX(2,3)'s,
+        // and never the first one, which would reorder it before CX(2,3).
+        assert_eq!(f.ops().len(), 2);
+        assert_eq!(f.ops()[1].qubits, [1, 2, 3]);
         assert_eq!(f.source_gates(), 3);
     }
 
@@ -1815,9 +1764,8 @@ mod tests {
         c.rz(0, 0.3);
         c.push(mcrx);
         c.rz(0, 0.5);
-        let opts = FusionOptions::default();
-        let in_order = plan_fusion_in_order(&c, &opts);
-        let best = plan_fusion(&c, &opts);
+        let in_order = plan_fusion_in_order(&c);
+        let best = plan_fusion(&c);
         assert_eq!(in_order.num_blocks(), 4);
         assert_eq!(best.num_blocks(), 3);
         // The reordered plan still emits the same unitary (checked exactly

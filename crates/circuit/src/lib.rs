@@ -28,8 +28,8 @@ pub mod structural;
 pub use circuit::{Circuit, ResourceCounts};
 pub use decompose::{decompose_to_cx_basis, decomposed_two_qubit_count, NativeBasis};
 pub use fusion::{
-    fuse, plan_fusion, plan_fusion_in_order, FusedCircuit, FusedKernel, FusedOp, FusionOptions,
-    FusionPlan, SparseComponent, MAX_DENSE_QUBITS,
+    plan_fusion, plan_fusion_in_order, FusedCircuit, FusedKernel, FusedOp, FusionPlan,
+    SparseComponent, MAX_DENSE_QUBITS,
 };
 pub use gate::{matrices, ControlBit, Gate, GateKind};
 pub use ladder::{parity_ladder, transition_ladder, LadderStyle, ParityLadder, TransitionLadder};

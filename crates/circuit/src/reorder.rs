@@ -45,7 +45,7 @@
 //! blocks, so the fusion ratio never decreases.
 
 use crate::circuit::Circuit;
-use crate::fusion::{is_diagonal_gate, FusionOptions};
+use crate::fusion::{is_diagonal_gate, DENSE_LIMIT, DIAGONAL_LIMIT};
 use crate::gate::Gate;
 use std::collections::BTreeSet;
 
@@ -96,7 +96,7 @@ pub fn gates_commute(a: &Gate, b: &Gate) -> bool {
 /// the same unitary) with commuting gates bubbled together by support
 /// affinity. Purely structural — independent of gate angles — so the order
 /// is stable across parameter rebindings of the same template.
-pub fn commutation_schedule(circuit: &Circuit, opts: &FusionOptions) -> Vec<usize> {
+pub fn commutation_schedule(circuit: &Circuit) -> Vec<usize> {
     let gates = circuit.gates();
     let n = gates.len();
     let roles: Vec<GateRoles> = gates.iter().map(gate_roles).collect();
@@ -144,8 +144,6 @@ pub fn commutation_schedule(circuit: &Circuit, opts: &FusionOptions) -> Vec<usiz
     // ready gate. Ties always break toward the original order, so the
     // schedule is deterministic and degenerates to the identity on circuits
     // with no commutation freedom.
-    let dense_limit = opts.dense_limit();
-    let diag_limit = opts.diagonal_limit();
     let mut ready: BTreeSet<usize> = (0..n).filter(|&gi| preds[gi] == 0).collect();
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut cluster: Vec<usize> = Vec::new();
@@ -159,7 +157,7 @@ pub fn commutation_schedule(circuit: &Circuit, opts: &FusionOptions) -> Vec<usiz
             // Global phases ride along anywhere.
             return true;
         }
-        let alone_limit = if diag { diag_limit } else { dense_limit };
+        let alone_limit = if diag { DIAGONAL_LIMIT } else { DENSE_LIMIT };
         if r.support.len() > alone_limit {
             return false; // passthrough-wide: never joins a cluster
         }
@@ -180,9 +178,9 @@ pub fn commutation_schedule(circuit: &Circuit, opts: &FusionOptions) -> Vec<usiz
             return false;
         }
         if cluster_diag && diag {
-            union <= diag_limit
+            union <= DIAGONAL_LIMIT
         } else {
-            union <= dense_limit
+            union <= DENSE_LIMIT
         }
     };
 
@@ -199,8 +197,8 @@ pub fn commutation_schedule(circuit: &Circuit, opts: &FusionOptions) -> Vec<usiz
         ready.remove(&pick);
         let r = &roles[pick];
         let diag = r.general.is_empty();
-        let wide =
-            !r.support.is_empty() && r.support.len() > if diag { diag_limit } else { dense_limit };
+        let wide = !r.support.is_empty()
+            && r.support.len() > if diag { DIAGONAL_LIMIT } else { DENSE_LIMIT };
         if !r.support.is_empty() {
             if cluster_open && fits_cluster(&cluster, cluster_diag, pick) {
                 for q in &r.support {
@@ -280,7 +278,7 @@ mod tests {
         c.cx(1, 2);
         c.rz(3, 0.7);
         c.cx(2, 3);
-        let order = commutation_schedule(&c, &FusionOptions::default());
+        let order = commutation_schedule(&c);
         let mut seen = vec![false; c.len()];
         for &gi in &order {
             seen[gi] = true;
@@ -311,7 +309,7 @@ mod tests {
         for q in 0..4 {
             c.cx(q, q + 1);
         }
-        let order = commutation_schedule(&c, &FusionOptions::default());
+        let order = commutation_schedule(&c);
         assert!(is_identity(&order));
     }
 
@@ -324,7 +322,7 @@ mod tests {
         c.cx(0, 1);
         c.rz(3, 0.2);
         c.cx(0, 1);
-        let order = commutation_schedule(&c, &FusionOptions::default());
+        let order = commutation_schedule(&c);
         assert_eq!(order, vec![0, 2, 1, 3]);
     }
 
@@ -342,7 +340,7 @@ mod tests {
         c.rz(0, 0.3);
         c.push(mcx);
         c.rz(0, 0.5);
-        let order = commutation_schedule(&c, &FusionOptions::default());
+        let order = commutation_schedule(&c);
         // The two RZ(0) gates are adjacent in the schedule.
         let pos: Vec<usize> = {
             let mut p = vec![0; order.len()];

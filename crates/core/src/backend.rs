@@ -26,7 +26,8 @@
 //!   arbitrary Kraus channels through a
 //!   [`NoiseModel`]: Pauli channels keep
 //!   the cheap mask path, general channels do norm-weighted Kraus selection
-//!   per trajectory;
+//!   per trajectory. Both average through the one ensemble loop of
+//!   [`TrajectoryEnsemble`];
 //! * [`DensityMatrixBackend`] — the exact noise oracle: evolves the full
 //!   density matrix under the same `NoiseModel` via superoperator
 //!   application of fused blocks, capped at
@@ -58,8 +59,12 @@
 //! [`Backend::expectation`] takes a preprocessed [`GroupedPauliSum`] and
 //! evaluates `⟨ψ|H|ψ⟩` directly from the strings' X/Z bitmasks — one
 //! amplitude sweep per group on the dense engines, a per-string tableau
-//! read-off on the stabilizer engine. [`Backend::expectation_sparse`] keeps
-//! the sparse mat-vec path alive as the correctness oracle.
+//! read-off on the stabilizer engine. The sparse mat-vec oracle it is
+//! tested against is not a backend entry point: it lives on the states
+//! ([`StateVector::expectation_sparse`], [`DensityMatrix::expectation_sparse`]),
+//! which tests read off [`Backend::run`] or [`DensityMatrixBackend::evolve`],
+//! and off every trajectory of a noise ensemble through
+//! [`TrajectoryEnsemble::ensemble_mean`].
 //!
 //! Determinism guarantee: for a fixed backend configuration and fixed
 //! `seed`, [`Backend::sample`] / [`Backend::sample_bits`] return
@@ -83,7 +88,7 @@
 //! ```
 
 use ghs_circuit::{Circuit, Gate, ParameterizedCircuit};
-use ghs_math::{Complex64, SparseMatrix};
+use ghs_math::Complex64;
 use ghs_operators::kraus::{KrausChannel, NoiseModel};
 use ghs_stabilizer::{BitString, StabilizerState, STABILIZER_DENSE_MAX_QUBITS};
 use ghs_statevector::{
@@ -151,7 +156,8 @@ pub enum BackendError {
         detail: String,
     },
     /// The backend has no dense `2^n`-amplitude representation to return
-    /// (the stabilizer tableau's `run` / sparse-observable entry points).
+    /// (the `run` entry point of the stabilizer tableau and of the density
+    /// matrix).
     DenseStateUnavailable {
         /// The rejecting backend's [`Backend::name`].
         backend: &'static str,
@@ -224,8 +230,20 @@ pub enum InitialState {
     /// The all-zeros computational-basis state `|0…0⟩`.
     #[default]
     ZeroState,
-    /// The computational-basis state `|index⟩` (bit `q` of `index` is
-    /// qubit `q`).
+    /// The computational-basis state `|index⟩`. The register is
+    /// big-endian: qubit `q` of an `n`-qubit register is bit `n − 1 − q` of
+    /// `index`, so qubit 0 is the most significant bit.
+    ///
+    /// ```
+    /// use ghs_circuit::Circuit;
+    /// use ghs_core::backend::{Backend, FusedStatevector, InitialState};
+    ///
+    /// // Index 0b100 sets qubit 0 of three: an X on qubit 0 clears it.
+    /// let mut c = Circuit::new(3);
+    /// c.x(0);
+    /// let state = FusedStatevector.run(&InitialState::basis(0b100), &c).unwrap();
+    /// assert_eq!(state.probability(0b000), 1.0);
+    /// ```
     Basis(usize),
     /// Explicit dense amplitudes, shared without copying.
     Dense(Arc<StateVector>),
@@ -386,9 +404,7 @@ pub trait Backend {
     /// sweep per group of strings on the dense engines, and read per string
     /// straight off the tableau on the stabilizer engine. Prepare the
     /// observable once (it only depends on the Hamiltonian) and reuse it
-    /// across evaluations; the sparse path survives as
-    /// [`Backend::expectation_sparse`], the correctness oracle of the
-    /// property tests.
+    /// across evaluations.
     fn expectation(
         &self,
         initial: &InitialState,
@@ -398,26 +414,6 @@ pub trait Backend {
         Ok(self
             .run(initial, circuit)?
             .expectation_grouped(observable)
-            .re)
-    }
-
-    /// Expectation value `⟨ψ|A|ψ⟩` of a Hermitian sparse-matrix observable
-    /// on the evolved state (ensemble-averaged for stochastic backends).
-    ///
-    /// Slow-oracle path: a generic sparse mat-vec plus an inner product.
-    /// Production code should expand the observable over Pauli strings and
-    /// use [`Backend::expectation`]; this entry point is kept as the oracle
-    /// the matrix-free engine is property-tested against, and for operators
-    /// with no convenient Pauli expansion.
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        Ok(self
-            .run(initial, circuit)?
-            .expectation_sparse(observable)
             .re)
     }
 
@@ -741,6 +737,65 @@ impl Backend for ReferenceStatevector {
     }
 }
 
+/// A seeded ensemble of noise trajectories, and the one loop that averages
+/// it for [`PauliNoise`] and [`TrajectoryNoise`].
+///
+/// Trajectory `index` runs on its own RNG stream derived from
+/// `(seed, index)`, so every ensemble quantity is a deterministic function
+/// of the configuration. Scalars are summed in trajectory order and divided
+/// by the ensemble size; probabilities are accumulated per basis state and
+/// scaled by its inverse.
+pub trait TrajectoryEnsemble: Backend {
+    /// Number of trajectories averaged, never below one. A noiseless
+    /// configuration consumes no RNG, so its trajectories are all the same
+    /// per-gate sweep and the ensemble collapses to one simulation
+    /// (identical result, `1/trajectories` the cost).
+    fn ensemble_size(&self) -> usize;
+
+    /// Runs trajectory `index` from a dense initial state.
+    fn trajectory(&self, initial: &StateVector, circuit: &Circuit, index: usize) -> StateVector;
+
+    /// The mean of `f` over the ensemble's final states.
+    /// [`Backend::expectation`] passes the grouped Pauli functional; tests
+    /// pass the sparse oracle ([`StateVector::expectation_sparse`]) to read
+    /// the same trajectories.
+    fn ensemble_mean(
+        &self,
+        initial: &InitialState,
+        circuit: &Circuit,
+        f: impl Fn(&StateVector) -> f64,
+    ) -> Result<f64, BackendError> {
+        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
+        let t = self.ensemble_size();
+        Ok((0..t)
+            .map(|index| f(&self.trajectory(&init, circuit, index)))
+            .sum::<f64>()
+            / t as f64)
+    }
+
+    /// Computational-basis probabilities averaged over the ensemble.
+    fn ensemble_probabilities(
+        &self,
+        initial: &InitialState,
+        circuit: &Circuit,
+    ) -> Result<Vec<f64>, BackendError> {
+        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
+        let t = self.ensemble_size();
+        let mut acc = vec![0.0f64; init.dim()];
+        for index in 0..t {
+            let state = self.trajectory(&init, circuit, index);
+            for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
+                *a += amp.norm_sqr();
+            }
+        }
+        let inv = 1.0 / t as f64;
+        for a in &mut acc {
+            *a *= inv;
+        }
+        Ok(acc)
+    }
+}
+
 /// Stochastic Pauli-noise trajectory backend.
 ///
 /// After every gate, each qubit in the gate's support is hit independently
@@ -795,11 +850,12 @@ impl PauliNoise {
             seed,
         }
     }
+}
 
-    /// Number of trajectories, never below one. At zero noise strength every
-    /// trajectory is the same RNG-free sweep, so the ensemble collapses to a
-    /// single simulation (identical result, `1/trajectories` the cost).
-    fn ensemble(&self) -> usize {
+impl TrajectoryEnsemble for PauliNoise {
+    /// One at zero noise strength, where every trajectory is the same
+    /// RNG-free sweep.
+    fn ensemble_size(&self) -> usize {
         if self.depolarizing <= 0.0 && self.dephasing <= 0.0 {
             1
         } else {
@@ -807,8 +863,8 @@ impl PauliNoise {
         }
     }
 
-    /// Runs one noise trajectory: gates applied one by one, error channels
-    /// sampled per gate-support qubit from the trajectory's own stream.
+    /// Gates applied one by one, error channels sampled per gate-support
+    /// qubit from the trajectory's own stream.
     ///
     /// The domain tag keeps trajectory streams disjoint from the shot-chunk
     /// streams of [`CachedDistribution::sample_seeded`] even when a caller
@@ -869,20 +925,7 @@ impl Backend for PauliNoise {
         initial: &InitialState,
         circuit: &Circuit,
     ) -> Result<Vec<f64>, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        let mut acc = vec![0.0f64; init.dim()];
-        for index in 0..t {
-            let state = self.trajectory(&init, circuit, index);
-            for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
-                *a += amp.norm_sqr();
-            }
-        }
-        let inv = 1.0 / t as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        Ok(acc)
+        self.ensemble_probabilities(initial, circuit)
     }
 
     /// Matrix-free observable, averaged over the trajectory ensemble. At
@@ -895,34 +938,7 @@ impl Backend for PauliNoise {
         circuit: &Circuit,
         observable: &GroupedPauliSum,
     ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_grouped(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
-    }
-
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_sparse(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
+        self.ensemble_mean(initial, circuit, |s| s.expectation_grouped(observable).re)
     }
 }
 
@@ -1005,17 +1021,6 @@ impl TrajectoryNoise {
         }
     }
 
-    /// Number of trajectories, never below one. A noiseless model makes
-    /// every trajectory the same RNG-free sweep, so the ensemble collapses
-    /// to a single simulation.
-    fn ensemble(&self) -> usize {
-        if self.model.is_noiseless() {
-            1
-        } else {
-            self.trajectories.max(1)
-        }
-    }
-
     /// Samples one channel application on `qubit`. Pauli channels use the
     /// cheap mask path (gate application, no renormalisation); general
     /// channels select a Kraus branch by its norm weight.
@@ -1078,9 +1083,22 @@ impl TrajectoryNoise {
             }
         }
     }
+}
+
+impl TrajectoryEnsemble for TrajectoryNoise {
+    /// One for a noiseless model, whose trajectories are all the same
+    /// RNG-free sweep.
+    fn ensemble_size(&self) -> usize {
+        if self.model.is_noiseless() {
+            1
+        } else {
+            self.trajectories.max(1)
+        }
+    }
 
     /// Runs one noise trajectory on the stream derived from `(seed, index)`
-    /// under the shared [`TRAJECTORY_DOMAIN`] tag.
+    /// under the domain tag [`PauliNoise`] uses too, so the two backends
+    /// draw the same coin flips for a Pauli model.
     fn trajectory(&self, initial: &StateVector, circuit: &Circuit, index: usize) -> StateVector {
         let mut rng =
             StdRng::seed_from_u64(derive_stream_seed(self.seed ^ TRAJECTORY_DOMAIN, index));
@@ -1126,20 +1144,7 @@ impl Backend for TrajectoryNoise {
         initial: &InitialState,
         circuit: &Circuit,
     ) -> Result<Vec<f64>, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        let mut acc = vec![0.0f64; init.dim()];
-        for index in 0..t {
-            let state = self.trajectory(&init, circuit, index);
-            for (a, amp) in acc.iter_mut().zip(state.amplitudes()) {
-                *a += amp.norm_sqr();
-            }
-        }
-        let inv = 1.0 / t as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        Ok(acc)
+        self.ensemble_probabilities(initial, circuit)
     }
 
     fn expectation(
@@ -1148,34 +1153,7 @@ impl Backend for TrajectoryNoise {
         circuit: &Circuit,
         observable: &GroupedPauliSum,
     ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_grouped(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
-    }
-
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        let init = initial.to_statevector(circuit.num_qubits(), self.name())?;
-        let t = self.ensemble();
-        Ok((0..t)
-            .map(|index| {
-                self.trajectory(&init, circuit, index)
-                    .expectation_sparse(observable)
-                    .re
-            })
-            .sum::<f64>()
-            / t as f64)
+        self.ensemble_mean(initial, circuit, |s| s.expectation_grouped(observable).re)
     }
 }
 
@@ -1299,19 +1277,6 @@ impl Backend for DensityMatrixBackend {
         Ok(self
             .evolve(initial, circuit)?
             .expectation_grouped(observable))
-    }
-
-    /// Exact `tr(ρA)` for a sparse observable (the slow oracle path).
-    fn expectation_sparse(
-        &self,
-        initial: &InitialState,
-        circuit: &Circuit,
-        observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        Ok(self
-            .evolve(initial, circuit)?
-            .expectation_sparse(observable)
-            .re)
     }
 }
 
@@ -1502,19 +1467,6 @@ impl Backend for StabilizerBackend {
             acc += coeff * state.expectation_dense_masks(x_mask, z_mask);
         }
         Ok(acc.re)
-    }
-
-    /// Sparse-matrix observables need the dense state; use the Pauli-sum
-    /// path ([`Backend::expectation`]) instead.
-    fn expectation_sparse(
-        &self,
-        _initial: &InitialState,
-        _circuit: &Circuit,
-        _observable: &SparseMatrix,
-    ) -> Result<f64, BackendError> {
-        Err(BackendError::DenseStateUnavailable {
-            backend: self.name(),
-        })
     }
 
     /// Dense-index sampling for registers that fit a machine word; the
@@ -1875,7 +1827,7 @@ mod tests {
     #[test]
     fn expectation_through_trait_object() {
         // Object safety: drive a `&dyn Backend` end to end, through both the
-        // matrix-free path and the sparse oracle.
+        // matrix-free path and the sparse oracle read off its `run` output.
         use ghs_operators::{PauliString, PauliSum};
         let backend: Box<dyn Backend> = backend_by_name("fused").unwrap();
         let mut c = Circuit::new(1);
@@ -1886,8 +1838,8 @@ mod tests {
         let zero = InitialState::ZeroState;
         let e = backend.expectation(&zero, &c, &grouped).unwrap();
         assert!((e - 1.0).abs() < 1e-12, "⟨+|X|+⟩ = 1, got {e}");
-        let x = SparseMatrix::from_dense(&ghs_circuit::matrices::x(), 0.0);
-        let oracle = backend.expectation_sparse(&zero, &c, &x).unwrap();
+        let x = ghs_math::SparseMatrix::from_dense(&ghs_circuit::matrices::x(), 0.0);
+        let oracle = backend.run(&zero, &c).unwrap().expectation_sparse(&x).re;
         assert!(
             (e - oracle).abs() < 1e-12,
             "matrix-free {e} vs oracle {oracle}"

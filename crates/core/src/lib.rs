@@ -48,9 +48,9 @@ pub use mitigation::{
 };
 pub use optimize::{minimize_adam, AdamOptions, OptimizeResult};
 pub use trotter::{
-    direct_product_formula, mpf_state, mpf_state_error, mpf_state_with, product_formula_circuit,
-    qdrift_circuit, richardson_weights, state_error, state_error_with, unitary_error,
-    usual_product_formula, ProductFormula, Strategy,
+    direct_product_formula, mpf_state, mpf_state_error, product_formula_circuit, qdrift_circuit,
+    richardson_weights, state_error, unitary_error, usual_product_formula, ProductFormula,
+    Strategy,
 };
 pub use usual::{
     pauli_string_exponential, usual_hamiltonian_slice, usual_rotation_count, usual_two_qubit_count,

@@ -13,8 +13,7 @@ use crate::backend::{Backend, InitialState};
 use ghs_circuit::{transition_ladder, Circuit, LadderStyle};
 use ghs_math::bits::qubit_bit;
 use ghs_operators::{HermitianTerm, PauliOp};
-use ghs_statevector::{CachedDistribution, StateVector};
-use rand::Rng;
+use ghs_statevector::StateVector;
 
 /// The measurement setting of one Hermitian SCB term: the basis-change
 /// circuit plus the classical post-processing data turning a sampled bit
@@ -129,27 +128,11 @@ impl TermMeasurement {
         value
     }
 
-    /// Estimates `⟨ψ|H_term|ψ⟩` from `shots` samples.
-    ///
-    /// The rotated state is swept once into a cached alias distribution and
-    /// every shot is drawn in `O(1)` from it — `O(2^n + shots)` total,
-    /// instead of the per-shot cumulative re-sweep of the old path (which
-    /// survives as [`StateVector::sample`], the test oracle).
-    pub fn estimate<R: Rng>(&self, state: &StateVector, shots: usize, rng: &mut R) -> f64 {
-        let mut rotated = state.clone();
-        rotated.run_fused(&self.basis_change);
-        let dist = CachedDistribution::from_state(&rotated);
-        (0..shots)
-            .map(|_| self.contribution(dist.draw(rng)))
-            .sum::<f64>()
-            / shots as f64
-    }
-
     /// Estimates `⟨ψ|H_term|ψ⟩` from `shots` samples drawn through an
     /// arbitrary [`Backend`] (fused, reference, or noisy trajectories); the
     /// backend's batched shot engine makes the draw `O(2^n + shots)` and
     /// bit-reproducible for a fixed `seed`.
-    pub fn estimate_with(
+    pub fn estimate(
         &self,
         backend: &dyn Backend,
         state: &StateVector,
@@ -206,6 +189,7 @@ impl TermMeasurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FusedStatevector;
     use ghs_math::c64;
     use ghs_operators::{ScbOp, ScbString};
     use ghs_statevector::StateVector;
@@ -227,7 +211,7 @@ mod tests {
             "{term}: exact {exact} vs setting {via_setting}"
         );
         // Finite-shot estimate converges to the same value.
-        let est = meas.estimate(&state, 60_000, &mut rng);
+        let est = meas.estimate(&FusedStatevector, &state, 60_000, seed);
         assert!(
             (est - exact).abs() < 0.05,
             "{term}: estimate {est} vs exact {exact}"
@@ -266,7 +250,7 @@ mod tests {
 
     #[test]
     fn backend_estimator_matches_exact_value() {
-        use crate::backend::{Backend, FusedStatevector, ReferenceStatevector};
+        use crate::backend::ReferenceStatevector;
         let term = HermitianTerm::paired(
             c64(0.6, 0.0),
             ScbString::new(vec![ScbOp::SigmaDag, ScbOp::N, ScbOp::Sigma]),
@@ -276,14 +260,14 @@ mod tests {
         let meas = TermMeasurement::new(&term, LadderStyle::Linear);
         let exact = meas.exact(&state);
         for backend in [&FusedStatevector as &dyn Backend, &ReferenceStatevector] {
-            let est = meas.estimate_with(backend, &state, 60_000, 9);
+            let est = meas.estimate(backend, &state, 60_000, 9);
             assert!(
                 (est - exact).abs() < 0.05,
                 "{}: estimate {est} vs exact {exact}",
                 backend.name()
             );
             // Seeded estimation is reproducible.
-            let again = meas.estimate_with(backend, &state, 60_000, 9);
+            let again = meas.estimate(backend, &state, 60_000, 9);
             assert_eq!(est, again);
         }
     }

@@ -7,7 +7,7 @@
 //! and measure the resulting Trotter error against the exact evolution
 //! computed by `ghs-math`.
 
-use crate::backend::Backend;
+use crate::backend::{Backend, FusedStatevector, InitialState};
 use crate::direct::{direct_term_circuit, DirectOptions};
 use crate::usual::pauli_string_exponential;
 use ghs_circuit::{Circuit, LadderStyle};
@@ -236,27 +236,10 @@ pub fn richardson_weights(steps: &[usize]) -> Vec<f64> {
 /// Multi-Product Formula state: the Richardson-weighted combination
 /// `Σ_i c_i · U_{s_i} |ψ⟩` of first-order product-formula evolutions at the
 /// given step counts (classically combined, as in MPF-based error
-/// mitigation). Returns the (generally slightly unnormalised) combined state.
+/// mitigation), each evolved through `backend` (fused / reference / one
+/// noisy trajectory). Returns the (generally slightly unnormalised)
+/// combined state.
 pub fn mpf_state(
-    hamiltonian: &ScbHamiltonian,
-    t: f64,
-    steps_list: &[usize],
-    opts: &DirectOptions,
-    initial: &StateVector,
-) -> Vec<Complex64> {
-    mpf_state_with(
-        &crate::backend::FusedStatevector,
-        hamiltonian,
-        t,
-        steps_list,
-        opts,
-        initial,
-    )
-}
-
-/// [`mpf_state`] through an arbitrary execution [`Backend`]
-/// (fused / reference / noisy trajectories).
-pub fn mpf_state_with(
     backend: &dyn Backend,
     hamiltonian: &ScbHamiltonian,
     t: f64,
@@ -270,7 +253,7 @@ pub fn mpf_state_with(
     for (&steps, &w) in steps_list.iter().zip(weights.iter()) {
         let circuit = direct_product_formula(hamiltonian, t, steps, ProductFormula::First, opts);
         let state = backend
-            .run(&crate::backend::InitialState::from(initial), &circuit)
+            .run(&InitialState::from(initial), &circuit)
             .expect("dense backends run product-formula circuits");
         for (a, b) in acc.iter_mut().zip(state.amplitudes().iter()) {
             *a += b.scale(w);
@@ -287,7 +270,7 @@ pub fn mpf_state_error(
     opts: &DirectOptions,
     initial: &StateVector,
 ) -> f64 {
-    let combined = mpf_state(hamiltonian, t, steps_list, opts, initial);
+    let combined = mpf_state(&FusedStatevector, hamiltonian, t, steps_list, opts, initial);
     let exact = expm_multiply_minus_i_theta(&hamiltonian.sparse_matrix(), t, initial.amplitudes());
     vec_distance(&combined, &exact)
 }
@@ -301,26 +284,10 @@ pub fn unitary_error(circuit: &Circuit, hamiltonian_matrix: &CMatrix, t: f64) ->
 }
 
 /// State-level Trotter error: `‖(U_circuit − exp(−itH))|ψ⟩‖` evaluated with a
-/// sparse exponential action, usable far beyond dense-matrix sizes.
+/// sparse exponential action, usable far beyond dense-matrix sizes. The
+/// circuit runs through `backend`; with a noisy backend this measures the
+/// combined Trotter-plus-noise error of one trajectory.
 pub fn state_error(
-    circuit: &Circuit,
-    hamiltonian: &SparseMatrix,
-    t: f64,
-    initial: &StateVector,
-) -> f64 {
-    state_error_with(
-        &crate::backend::FusedStatevector,
-        circuit,
-        hamiltonian,
-        t,
-        initial,
-    )
-}
-
-/// [`state_error`] through an arbitrary execution [`Backend`]; with a noisy
-/// backend this measures the combined Trotter-plus-noise error of one
-/// trajectory.
-pub fn state_error_with(
     backend: &dyn Backend,
     circuit: &Circuit,
     hamiltonian: &SparseMatrix,
@@ -328,7 +295,7 @@ pub fn state_error_with(
     initial: &StateVector,
 ) -> f64 {
     let evolved = backend
-        .run(&crate::backend::InitialState::from(initial), circuit)
+        .run(&InitialState::from(initial), circuit)
         .expect("dense backends run product-formula circuits");
     let exact = expm_multiply_minus_i_theta(hamiltonian, t, initial.amplitudes());
     vec_distance(evolved.amplitudes(), &exact)
@@ -449,7 +416,7 @@ mod tests {
         let c = direct_product_formula(&h, t, 2, ProductFormula::First, &DirectOptions::linear());
         let mut rng = StdRng::seed_from_u64(3);
         let psi = StateVector::random_state(2, &mut rng);
-        let se = state_error(&c, &sparse, t, &psi);
+        let se = state_error(&FusedStatevector, &c, &sparse, t, &psi);
         let ue = unitary_error(&c, &m, t);
         assert!(se <= ue + 1e-9);
         assert!(se > 0.0);
@@ -487,7 +454,7 @@ mod tests {
             .iter()
             .map(|&s| {
                 let c = direct_product_formula(&h, t, s, ProductFormula::First, &opts);
-                state_error(&c, &sparse, t, &psi)
+                state_error(&FusedStatevector, &c, &sparse, t, &psi)
             })
             .fold(f64::INFINITY, f64::min);
         assert!(
@@ -510,7 +477,7 @@ mod tests {
         let mut avg_err = 0.0;
         for _ in 0..reps {
             let c = qdrift_circuit(&h, t, samples, &DirectOptions::linear(), &mut rng);
-            avg_err += state_error(&c, &sparse, t, &psi);
+            avg_err += state_error(&FusedStatevector, &c, &sparse, t, &psi);
         }
         avg_err /= reps as f64;
         // Not exact, but close for small t and many samples.

@@ -17,7 +17,7 @@
 use crate::circuits::direct_phase_separator;
 use crate::problem::HuboProblem;
 use ghs_circuit::{inverse_qft, Circuit, ControlBit, Gate};
-use ghs_core::backend::{Backend, FusedStatevector, InitialState};
+use ghs_core::backend::{Backend, InitialState};
 use ghs_math::Complex64;
 use ghs_operators::{PauliOp, PauliString, PauliSum};
 use ghs_statevector::GroupedPauliSum;
@@ -163,33 +163,12 @@ pub fn gas_cost_observable(problem: &HuboProblem, value_bits: usize) -> GroupedP
 }
 
 /// Expected cost `⟨C⟩` of the state a GAS round prepares, evaluated
-/// matrix-free through [`Backend::expectation`] — the diagnostic that
-/// quantifies how much amplitude one round moves onto below-threshold
-/// assignments (a test pins it under the uniform average).
+/// matrix-free through [`Backend::expectation`] against a prepared
+/// [`gas_cost_observable`] — the diagnostic that quantifies how much
+/// amplitude one round moves onto below-threshold assignments (a test pins
+/// it under the uniform average). Sweeps over thresholds or iteration counts
+/// reuse one observable.
 pub fn grover_expected_cost(
-    backend: &dyn Backend,
-    problem: &HuboProblem,
-    value_bits: usize,
-    threshold: f64,
-    iterations: usize,
-) -> f64 {
-    let observable = gas_cost_observable(problem, value_bits);
-    grover_expected_cost_with(
-        backend,
-        problem,
-        &observable,
-        value_bits,
-        threshold,
-        iterations,
-    )
-}
-
-/// [`grover_expected_cost`] against a pre-prepared [`gas_cost_observable`].
-/// Sweeping thresholds or iteration counts over one problem re-evaluates the
-/// same diagonal observable every time; preparing the grouped form once and
-/// passing it here skips the per-call regrouping that [`grover_expected_cost`]
-/// pays for convenience.
-pub fn grover_expected_cost_with(
     backend: &dyn Backend,
     problem: &HuboProblem,
     observable: &GroupedPauliSum,
@@ -219,20 +198,10 @@ pub struct GasResult {
 
 /// Adaptive-threshold Grover search over a HUBO problem (integer weights give
 /// exact oracles). `value_bits` must be large enough to hold every shifted
-/// cost in two's complement.
+/// cost in two's complement. Each round's single measurement is drawn
+/// through `backend`'s batched shot engine with a seed derived from the
+/// caller's generator.
 pub fn grover_adaptive_search<R: Rng>(
-    problem: &HuboProblem,
-    value_bits: usize,
-    rounds: usize,
-    rng: &mut R,
-) -> GasResult {
-    grover_adaptive_search_with(&FusedStatevector, problem, value_bits, rounds, rng)
-}
-
-/// [`grover_adaptive_search`] through an arbitrary execution [`Backend`];
-/// each round's single measurement is drawn via the backend's batched shot
-/// engine with a seed derived from the caller's generator.
-pub fn grover_adaptive_search_with<R: Rng>(
     backend: &dyn Backend,
     problem: &HuboProblem,
     value_bits: usize,
@@ -274,6 +243,7 @@ pub fn grover_adaptive_search_with<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ghs_core::backend::FusedStatevector;
     use ghs_statevector::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -335,7 +305,7 @@ mod tests {
         let p = integer_problem();
         let (best, best_cost) = p.brute_force_minimum();
         let mut rng = StdRng::seed_from_u64(17);
-        let result = grover_adaptive_search(&p, 4, 8, &mut rng);
+        let result = grover_adaptive_search(&FusedStatevector, &p, 4, 8, &mut rng);
         assert_eq!(result.best_assignment, best);
         assert_eq!(result.best_cost, best_cost);
         assert!(result.total_iterations >= result.rounds);
@@ -349,19 +319,14 @@ mod tests {
         let observable = gas_cost_observable(&p, 4);
         // Threshold 0 marks only the optimum (cost −3); one iteration must
         // amplify it, pulling ⟨C⟩ below the uniform average.
-        let amplified = grover_expected_cost_with(&FusedStatevector, &p, &observable, 4, 0.0, 1);
+        let amplified = grover_expected_cost(&FusedStatevector, &p, &observable, 4, 0.0, 1);
         assert!(
             amplified < uniform - 0.1,
             "expected cost {amplified} not amplified below uniform {uniform}"
         );
         // Zero iterations leave the uniform superposition untouched.
-        let untouched = grover_expected_cost_with(&FusedStatevector, &p, &observable, 4, 0.0, 0);
+        let untouched = grover_expected_cost(&FusedStatevector, &p, &observable, 4, 0.0, 0);
         assert!((untouched - uniform).abs() < 1e-9);
-        // The convenience wrapper agrees with the prepared path.
-        assert_eq!(
-            grover_expected_cost(&FusedStatevector, &p, 4, 0.0, 1),
-            amplified
-        );
     }
 
     #[test]

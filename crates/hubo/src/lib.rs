@@ -25,14 +25,13 @@ pub use crossover::{
 };
 pub use gas::{
     cost_register_circuit, decode_assignment, decode_value, gas_cost_observable,
-    grover_adaptive_search, grover_adaptive_search_with, grover_expected_cost,
-    grover_expected_cost_with, grover_round_circuit, GasResult,
+    grover_adaptive_search, grover_expected_cost, grover_round_circuit, GasResult,
 };
 pub use problem::{
     hubo_phase_hamiltonian, knapsack_hubo, random_dense_hubo, random_hypergraph_maxcut,
     random_sparse_hubo, HuboProblem, IsingProblem,
 };
 pub use qaoa::{
-    optimize_qaoa, qaoa_circuit, qaoa_energy, qaoa_energy_grouped, qaoa_energy_with,
-    qaoa_parameterized, qaoa_sample, QaoaParameters, QaoaResult, SeparatorStrategy,
+    optimize_qaoa, qaoa_circuit, qaoa_energy, qaoa_parameterized, qaoa_sample, QaoaParameters,
+    QaoaResult, SeparatorStrategy,
 };

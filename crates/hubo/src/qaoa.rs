@@ -113,35 +113,13 @@ pub fn qaoa_parameterized(
     })
 }
 
-/// Expected cost of the QAOA state: `⟨ψ|C|ψ⟩` (through the default fused
-/// backend; see [`qaoa_energy_with`]).
-pub fn qaoa_energy(
-    problem: &HuboProblem,
-    params: &QaoaParameters,
-    strategy: SeparatorStrategy,
-) -> f64 {
-    qaoa_energy_with(&FusedStatevector, problem, params, strategy)
-}
-
-/// Expected cost of the QAOA state through an arbitrary execution
-/// [`Backend`], evaluated matrix-free as the grouped expectation of the
-/// diagonal cost observable ([`HuboProblem::to_pauli_sum`]). With a noisy
+/// Expected cost `⟨ψ|C|ψ⟩` of the QAOA state through an execution
+/// [`Backend`], evaluated matrix-free as the grouped expectation of a
+/// **prepared** cost observable (`GroupedPauliSum::new` of
+/// [`HuboProblem::to_pauli_sum`]; prepare it once per problem). With a noisy
 /// trajectory backend this is the ensemble-averaged cost under the noise
-/// channel. Builds the observable on every call; optimisation loops should
-/// prepare it once and use [`qaoa_energy_grouped`].
-pub fn qaoa_energy_with(
-    backend: &dyn Backend,
-    problem: &HuboProblem,
-    params: &QaoaParameters,
-    strategy: SeparatorStrategy,
-) -> f64 {
-    let observable = GroupedPauliSum::new(&problem.to_pauli_sum());
-    qaoa_energy_grouped(backend, problem, &observable, params, strategy)
-}
-
-/// Expected cost of the QAOA state against a **prepared** cost observable —
-/// the hot path of [`optimize_qaoa`]'s inner loop.
-pub fn qaoa_energy_grouped(
+/// channel.
+pub fn qaoa_energy(
     backend: &dyn Backend,
     problem: &HuboProblem,
     observable: &GroupedPauliSum,
@@ -276,6 +254,11 @@ mod tests {
         p
     }
 
+    fn fused_energy(p: &HuboProblem, params: &QaoaParameters, strategy: SeparatorStrategy) -> f64 {
+        let observable = GroupedPauliSum::new(&p.to_pauli_sum());
+        qaoa_energy(&FusedStatevector, p, &observable, params, strategy)
+    }
+
     #[test]
     fn both_strategies_give_identical_energies() {
         let p = small_problem();
@@ -283,8 +266,8 @@ mod tests {
             gammas: vec![0.7, -0.3],
             betas: vec![0.4, 0.2],
         };
-        let e_direct = qaoa_energy(&p, &params, SeparatorStrategy::Direct);
-        let e_usual = qaoa_energy(&p, &params, SeparatorStrategy::Usual);
+        let e_direct = fused_energy(&p, &params, SeparatorStrategy::Direct);
+        let e_usual = fused_energy(&p, &params, SeparatorStrategy::Usual);
         assert!((e_direct - e_usual).abs() < 1e-9);
     }
 
@@ -305,7 +288,7 @@ mod tests {
             .enumerate()
             .map(|(x, prob)| prob * p.evaluate(x))
             .sum();
-        let e = qaoa_energy(&p, &params, SeparatorStrategy::Direct);
+        let e = fused_energy(&p, &params, SeparatorStrategy::Direct);
         assert!((e - classical).abs() < 1e-12, "{e} vs {classical}");
     }
 
@@ -313,7 +296,7 @@ mod tests {
     fn zero_parameters_give_uniform_average_cost() {
         let p = small_problem();
         let params = QaoaParameters::zeros(1);
-        let e = qaoa_energy(&p, &params, SeparatorStrategy::Direct);
+        let e = fused_energy(&p, &params, SeparatorStrategy::Direct);
         let avg: f64 = (0..(1usize << 4)).map(|x| p.evaluate(x)).sum::<f64>() / 16.0;
         assert!((e - avg).abs() < 1e-9);
     }
@@ -326,17 +309,14 @@ mod tests {
             gammas: vec![0.5],
             betas: vec![0.3],
         };
-        let e_fused = qaoa_energy_with(&FusedStatevector, &p, &params, SeparatorStrategy::Direct);
-        let e_ref = qaoa_energy_with(
-            &ReferenceStatevector,
-            &p,
-            &params,
-            SeparatorStrategy::Direct,
-        );
+        let obs = GroupedPauliSum::new(&p.to_pauli_sum());
+        let direct = SeparatorStrategy::Direct;
+        let e_fused = qaoa_energy(&FusedStatevector, &p, &obs, &params, direct);
+        let e_ref = qaoa_energy(&ReferenceStatevector, &p, &obs, &params, direct);
         assert!((e_fused - e_ref).abs() < 1e-12);
         // A zero-strength noise backend reproduces the noiseless energy.
         let quiet = PauliNoise::depolarizing(0.0, 3, 1);
-        let e_quiet = qaoa_energy_with(&quiet, &p, &params, SeparatorStrategy::Direct);
+        let e_quiet = qaoa_energy(&quiet, &p, &obs, &params, direct);
         assert!((e_quiet - e_fused).abs() < 1e-12);
         // Seeded batched sampling is reproducible and in-range.
         let shots = qaoa_sample(
@@ -365,7 +345,7 @@ mod tests {
     fn optimisation_improves_over_uniform() {
         let p = small_problem();
         let mut rng = StdRng::seed_from_u64(23);
-        let uniform = qaoa_energy(&p, &QaoaParameters::zeros(1), SeparatorStrategy::Direct);
+        let uniform = fused_energy(&p, &QaoaParameters::zeros(1), SeparatorStrategy::Direct);
         let result = optimize_qaoa(&p, 2, SeparatorStrategy::Direct, 2, 80, &mut rng);
         assert!(
             result.energy < uniform - 0.1,

@@ -28,9 +28,7 @@ use std::thread::JoinHandle;
 
 use ghs_circuit::{Circuit, StructuralKey};
 use ghs_core::{
-    zero_noise_extrapolation, Backend, BackendError, BackendSpec, DensityMatrixBackend,
-    FusedStatevector, InitialState, PauliNoise, ReferenceStatevector, StabilizerBackend,
-    TrajectoryNoise,
+    zero_noise_extrapolation, Backend, BackendError, BackendSpec, InitialState, StabilizerBackend,
 };
 use ghs_statevector::{CachedDistribution, GroupedPauliSum, ShardedStateVector, StateVector};
 
@@ -381,49 +379,39 @@ fn reset_state<'a>(
 }
 
 fn run_job(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> JobOutput {
-    // Mitigated expectations drive the *whole* backend (folded circuits at
-    // several noise scales) rather than a single evolution, so they bypass
-    // the per-backend fast paths and go through the trait object uniformly.
-    if let JobRequest::MitigatedExpectation { .. } = &spec.request {
-        return run_mitigated(cache, scratch, spec);
+    match &spec.request {
+        // Mitigated expectations drive the *whole* backend (folded circuits
+        // at several noise scales) rather than a single evolution, so they
+        // bypass the per-backend fast paths and go through the trait object
+        // uniformly.
+        JobRequest::MitigatedExpectation { .. } => return run_mitigated(cache, scratch, spec),
+        // Gradients never run a plain forward pass: the backend's own
+        // gradient engine owns the whole sweep (the flat adjoint on the
+        // state-vector backends, sharded included, and the parameter-shift
+        // rule on the others). Admission has already refused backends
+        // without gradient support.
+        JobRequest::Gradient { observable } => {
+            let CircuitSource::Template { template, params } = &spec.circuit else {
+                unreachable!("validated at submission");
+            };
+            let grouped = cache.observable(observable);
+            return match spec.backend.build().expectation_gradient(
+                &spec.initial,
+                template,
+                params,
+                &grouped,
+            ) {
+                Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
+                Err(err) => JobOutput::Failed(err),
+            };
+        }
+        _ => {}
     }
     match &spec.backend {
         BackendSpec::Fused => run_fused(cache, scratch, spec),
         BackendSpec::Sharded => run_sharded(cache, scratch, spec),
-        BackendSpec::Reference => run_generic(&ReferenceStatevector, cache, scratch, spec),
         BackendSpec::Stabilizer => run_stabilizer(cache, scratch, spec),
-        BackendSpec::Noisy {
-            depolarizing,
-            dephasing,
-            trajectories,
-            seed,
-        } => run_generic(
-            &PauliNoise {
-                depolarizing: *depolarizing,
-                dephasing: *dephasing,
-                trajectories: *trajectories,
-                seed: *seed,
-            },
-            cache,
-            scratch,
-            spec,
-        ),
-        BackendSpec::Trajectory {
-            model,
-            trajectories,
-            seed,
-        } => run_generic(
-            &TrajectoryNoise::new(model.clone(), *trajectories, *seed),
-            cache,
-            scratch,
-            spec,
-        ),
-        BackendSpec::Density { model } => run_generic(
-            &DensityMatrixBackend::new(model.clone()),
-            cache,
-            scratch,
-            spec,
-        ),
+        _ => run_generic(&*spec.backend.build(), cache, scratch, spec),
     }
 }
 
@@ -466,26 +454,6 @@ fn run_fused(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> 
     let n = spec.circuit.num_qubits();
     let key = spec.circuit.structural_key();
     let WorkerScratch { bound, states } = scratch;
-
-    // Gradients never run a plain forward pass: the adjoint engine owns the
-    // whole sweep (and reuses the template's own cached plan internally).
-    if let JobRequest::Gradient { observable } = &spec.request {
-        let (template, params) = match &spec.circuit {
-            CircuitSource::Template { template, params } => (template, params),
-            CircuitSource::Concrete(_) => unreachable!("validated at submission"),
-        };
-        let grouped = cache.observable(observable);
-        return match FusedStatevector.expectation_gradient(
-            &spec.initial,
-            template,
-            params,
-            &grouped,
-        ) {
-            Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
-            Err(err) => JobOutput::Failed(err),
-        };
-    }
-
     let circuit = resolve_circuit(bound, &spec.circuit, key);
 
     // Sampling first checks the distribution cache: a hit skips planning,
@@ -527,7 +495,7 @@ fn run_fused(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -> 
         JobRequest::Sample { .. }
         | JobRequest::Gradient { .. }
         | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("handled above")
+            unreachable!("dispatched by run_job")
         }
     }
 }
@@ -570,27 +538,6 @@ fn run_sharded(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -
     let n = spec.circuit.num_qubits();
     let key = spec.circuit.structural_key();
     let WorkerScratch { bound, .. } = scratch;
-
-    // Gradients go through the flat adjoint engine: its forward/reverse
-    // sweeps and masked inner products are layout-independent, and gradient
-    // workloads live well below the sharding crossover.
-    if let JobRequest::Gradient { observable } = &spec.request {
-        let (template, params) = match &spec.circuit {
-            CircuitSource::Template { template, params } => (template, params),
-            CircuitSource::Concrete(_) => unreachable!("validated at submission"),
-        };
-        let grouped = cache.observable(observable);
-        return match FusedStatevector.expectation_gradient(
-            &spec.initial,
-            template,
-            params,
-            &grouped,
-        ) {
-            Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
-            Err(err) => JobOutput::Failed(err),
-        };
-    }
-
     let circuit = resolve_circuit(bound, &spec.circuit, key);
     let sharded_initial = |n: usize| match &spec.initial {
         InitialState::ZeroState => ShardedStateVector::basis_state(n, 0),
@@ -644,7 +591,7 @@ fn run_sharded(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -
         JobRequest::Sample { .. }
         | JobRequest::Gradient { .. }
         | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("handled above")
+            unreachable!("dispatched by run_job")
         }
     }
 }
@@ -654,26 +601,13 @@ fn run_sharded(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec) -
 /// backend failures become [`JobOutput::Failed`] instead of unwinding a
 /// worker.
 fn run_generic(
-    backend: &impl Backend,
+    backend: &dyn Backend,
     cache: &PlanCache,
     scratch: &mut WorkerScratch,
     spec: &JobSpec,
 ) -> JobOutput {
     let key = spec.circuit.structural_key();
     let WorkerScratch { bound, .. } = scratch;
-
-    if let JobRequest::Gradient { observable } = &spec.request {
-        let (template, params) = match &spec.circuit {
-            CircuitSource::Template { template, params } => (template, params),
-            CircuitSource::Concrete(_) => unreachable!("validated at submission"),
-        };
-        let grouped = cache.observable(observable);
-        return match backend.expectation_gradient(&spec.initial, template, params, &grouped) {
-            Ok((energy, gradient)) => JobOutput::Gradient { energy, gradient },
-            Err(err) => JobOutput::Failed(err),
-        };
-    }
-
     let circuit = resolve_circuit(bound, &spec.circuit, key);
     let result = match &spec.request {
         JobRequest::Expectation { observable } => {
@@ -689,7 +623,7 @@ fn run_generic(
             .probabilities(&spec.initial, circuit)
             .map(JobOutput::Probabilities),
         JobRequest::Gradient { .. } | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("handled above")
+            unreachable!("dispatched by run_job")
         }
     };
     result.unwrap_or_else(JobOutput::Failed)
@@ -754,7 +688,7 @@ fn run_stabilizer(cache: &PlanCache, scratch: &mut WorkerScratch, spec: &JobSpec
         }
         JobRequest::Probabilities => JobOutput::Probabilities(tableau.basis_probabilities()),
         JobRequest::Gradient { .. } | JobRequest::MitigatedExpectation { .. } => {
-            unreachable!("rejected at admission or handled above")
+            unreachable!("rejected at admission or dispatched by run_job")
         }
     }
 }
@@ -966,44 +900,119 @@ mod tests {
         ));
     }
 
+    /// A job output as its variant plus raw bits, so that equality is bit
+    /// for bit (`-0.0` and `+0.0` differ).
+    fn output_bits(output: &JobOutput) -> (std::mem::Discriminant<JobOutput>, Vec<u64>) {
+        let bits = match output {
+            JobOutput::Expectation(e) => vec![e.to_bits()],
+            JobOutput::Gradient { energy, gradient } => std::iter::once(energy)
+                .chain(gradient)
+                .map(|x| x.to_bits())
+                .collect(),
+            JobOutput::Shots(shots) => shots.iter().map(|&s| s as u64).collect(),
+            JobOutput::Probabilities(p) => p.iter().map(|x| x.to_bits()).collect(),
+            other => panic!("unexpected output {other:?}"),
+        };
+        (std::mem::discriminant(output), bits)
+    }
+
+    /// Every backend spec, through the service, returns bit for bit what
+    /// `spec.build()` returns when called directly, for every request kind
+    /// its capabilities admit.
     #[test]
-    fn trajectory_and_density_jobs_match_their_backends() {
+    fn every_backend_spec_matches_its_direct_backend() {
         use ghs_operators::kraus::NoiseModel;
+        use ghs_statevector::testkit::{
+            random_clifford_circuit, random_parameterized_circuit, random_pauli_sum, PauliSumKind,
+        };
 
-        let service = Service::new(ServiceConfig::serial());
         let model = NoiseModel::pauli(0.05, 0.02);
-        let spec = JobSpec::expectation(bell(), zz()).on_backend(BackendSpec::Trajectory {
-            model: model.clone(),
-            trajectories: 24,
+        let noisy = BackendSpec::Noisy {
+            depolarizing: 0.05,
+            dephasing: 0.02,
+            trajectories: 3,
             seed: 17,
-        });
-        let JobOutput::Expectation(via_service) =
-            service.wait(service.submit(spec).unwrap()).output
-        else {
-            panic!("wrong output kind");
         };
-        let direct = TrajectoryNoise::new(model.clone(), 24, 17)
-            .expectation(
-                &InitialState::ZeroState,
-                &bell(),
-                &GroupedPauliSum::new(&zz()),
-            )
-            .unwrap();
-        assert_eq!(via_service, direct, "service must be bit-identical");
-
-        let spec = JobSpec::probabilities(bell()).on_backend(BackendSpec::Density {
+        let trajectory = BackendSpec::Trajectory {
             model: model.clone(),
-        });
-        let JobOutput::Probabilities(p) = service.wait(service.submit(spec).unwrap()).output else {
-            panic!("wrong output kind");
+            trajectories: 3,
+            seed: 17,
         };
-        let direct = DensityMatrixBackend::new(model)
-            .probabilities(&InitialState::ZeroState, &bell())
-            .unwrap();
-        assert_eq!(p, direct);
+        let density = BackendSpec::Density { model };
+        // 11 qubits put the dense engines above `FUSED_MIN_DIM`, where the
+        // service runs its plan-cache path. The noise rows stay at 4 qubits
+        // and three trajectories: the Kraus trajectory engine's
+        // parameter-shift gradient costs seconds beyond that.
+        let rows = [
+            (BackendSpec::Fused, 4),
+            (BackendSpec::Fused, 11),
+            (BackendSpec::Sharded, 4),
+            (BackendSpec::Sharded, 11),
+            (BackendSpec::Reference, 4),
+            (BackendSpec::Reference, 11),
+            (BackendSpec::Stabilizer, 4),
+            (BackendSpec::Stabilizer, 11),
+            (noisy, 4),
+            (trajectory, 4),
+            (density, 4),
+        ];
+        let service = Service::new(ServiceConfig::serial());
+        let zero = InitialState::ZeroState;
+        for (spec, n) in rows {
+            let caps = spec.capabilities();
+            let direct = spec.build();
+            let seed = n as u64;
+            let observable = Arc::new(random_pauli_sum(n, 6, PauliSumKind::Mixed, seed));
+            let grouped = GroupedPauliSum::new(&observable);
+            let params = vec![0.3, -0.7, 1.1];
+            let (source, circuit) = if caps.clifford_only {
+                let circuit = random_clifford_circuit(n, 24, seed);
+                (CircuitSource::from(circuit.clone()), circuit)
+            } else {
+                let template = Arc::new(random_parameterized_circuit(n, 8, 3, seed));
+                let circuit = template.bind(&params);
+                (CircuitSource::from((template, params.clone())), circuit)
+            };
+            let mut jobs = vec![
+                (
+                    JobSpec::expectation(source.clone(), observable.clone()),
+                    direct
+                        .expectation(&zero, &circuit, &grouped)
+                        .map(JobOutput::Expectation),
+                ),
+                (
+                    JobSpec::probabilities(source.clone()),
+                    direct
+                        .probabilities(&zero, &circuit)
+                        .map(JobOutput::Probabilities),
+                ),
+                (
+                    JobSpec::sample(source.clone(), 256).with_seed(5),
+                    direct.sample(&zero, &circuit, 256, 5).map(JobOutput::Shots),
+                ),
+            ];
+            if let CircuitSource::Template { template, .. } = &source {
+                assert!(caps.supports_gradients, "{}", spec.name());
+                jobs.push((
+                    JobSpec::gradient(template.clone(), params.clone(), observable.clone()),
+                    direct
+                        .expectation_gradient(&zero, template, &params, &grouped)
+                        .map(|(energy, gradient)| JobOutput::Gradient { energy, gradient }),
+                ));
+            }
+            for (job, expected) in jobs {
+                let request = format!("{:?}", job.request);
+                let id = service.submit(job.on_backend(spec.clone())).unwrap();
+                assert!(
+                    output_bits(&service.wait(id).output) == output_bits(&expected.unwrap()),
+                    "{} at {n} qubits: {request}",
+                    spec.name()
+                );
+            }
+        }
         // Admission enforces the density register cap before any worker runs.
         let wide = JobSpec::probabilities(Circuit::new(13)).on_backend(BackendSpec::Density {
-            model: ghs_operators::kraus::NoiseModel::noiseless(),
+            model: NoiseModel::noiseless(),
         });
         assert!(matches!(
             service.try_submit(wide),

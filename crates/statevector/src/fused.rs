@@ -239,13 +239,12 @@ mod tests {
         // — plan_fusion keeps whichever plan is smaller, so the fusion
         // ratio is non-decreasing — and (b) emit the same unitary: on
         // random states the two emissions must agree to 1e-12.
-        use ghs_circuit::{plan_fusion, plan_fusion_in_order, FusionOptions};
+        use ghs_circuit::{plan_fusion, plan_fusion_in_order};
         let mut rng = StdRng::seed_from_u64(57);
-        let opts = FusionOptions::default();
         for n in 2..=10usize {
             let c = crate::testkit::random_circuit(n, 50, 400 + n as u64);
-            let reordered = plan_fusion(&c, &opts);
-            let in_order = plan_fusion_in_order(&c, &opts);
+            let reordered = plan_fusion(&c);
+            let in_order = plan_fusion_in_order(&c);
             assert!(
                 reordered.num_blocks() <= in_order.num_blocks(),
                 "n={n}: reordering lost blocks ({} > {})",

@@ -7,7 +7,7 @@
 use gate_efficient_hs::chemistry::{
     h2_sto3g, run_vqe, transition_resources, trotter_error_sweep, uccsd_pool, ElectronicTransition,
 };
-use gate_efficient_hs::core::{DirectOptions, ProductFormula};
+use gate_efficient_hs::core::{DirectOptions, FusedStatevector, ProductFormula};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,7 +56,13 @@ fn main() {
     // Full-Hamiltonian Trotter error, direct vs usual grouping.
     println!("\nfirst-order Trotter error at t = 0.5 (state-level, HF start):");
     println!("steps | direct (SCB terms) | usual (Pauli fragments)");
-    for row in trotter_error_sweep(&model, 0.5, &[1, 2, 4, 8], ProductFormula::First) {
+    for row in trotter_error_sweep(
+        &FusedStatevector,
+        &model,
+        0.5,
+        &[1, 2, 4, 8],
+        ProductFormula::First,
+    ) {
         println!(
             "{:5} | {:.6} ({} factors) | {:.6} ({} factors)",
             row.steps, row.direct_error, row.direct_factors, row.usual_error, row.usual_factors

@@ -11,9 +11,9 @@ use gate_efficient_hs::core::backend::{
     Backend, FusedStatevector, InitialState, PauliNoise, ReferenceStatevector,
 };
 use gate_efficient_hs::hubo::{
-    qaoa_circuit, qaoa_energy_with, qaoa_sample, random_sparse_hubo, QaoaParameters,
-    SeparatorStrategy,
+    qaoa_circuit, qaoa_energy, qaoa_sample, random_sparse_hubo, QaoaParameters, SeparatorStrategy,
 };
+use gate_efficient_hs::statevector::GroupedPauliSum;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,6 +28,7 @@ fn main() {
     };
     let strategy = SeparatorStrategy::Direct;
     let circuit = qaoa_circuit(&problem, &params, strategy);
+    let cost = GroupedPauliSum::new(&problem.to_pauli_sum());
     println!(
         "QAOA circuit: {} qubits, {} gates, depth {}",
         circuit.num_qubits(),
@@ -41,16 +42,16 @@ fn main() {
     let quiet = PauliNoise::depolarizing(0.0, 5, 3);
     println!("\nnoiseless energy through each backend:");
     for backend in [&fused as &dyn Backend, &reference, &quiet] {
-        let e = qaoa_energy_with(backend, &problem, &params, strategy);
+        let e = qaoa_energy(backend, &problem, &cost, &params, strategy);
         println!("  {:<24} E = {e:+.12}", backend.name());
     }
 
     // ---- 2. noise sweep: depolarizing strength vs ensemble energy ---------
     println!("\ndepolarizing sweep (10 trajectories, seed 3):");
-    let ideal = qaoa_energy_with(&fused, &problem, &params, strategy);
+    let ideal = qaoa_energy(&fused, &problem, &cost, &params, strategy);
     for p in [0.0, 0.002, 0.01, 0.05] {
         let noisy = PauliNoise::depolarizing(p, 10, 3);
-        let e = qaoa_energy_with(&noisy, &problem, &params, strategy);
+        let e = qaoa_energy(&noisy, &problem, &cost, &params, strategy);
         println!(
             "  p = {p:<6} E = {e:+.6}   drift from ideal = {:+.6}",
             e - ideal

@@ -19,6 +19,8 @@
 //!   qubits, the lowest index bits) and on a *top* support (the first
 //!   qubits, the highest index bits), through `apply_fused_op`:
 //!   - `dense`: a dense 2-qubit block;
+//!   - `single`: an uncontrolled single-qubit rotation (the QAOA mixer's
+//!     `RX`);
 //!   - `ctrl`: a controlled single-qubit rotation (target, then control);
 //!   - `keyed`: a keyed phase on 3 qubits, kept as a pass-through gate;
 //!   - `diag_sparse`: a 3-qubit phase table with one active entry (the
@@ -27,11 +29,14 @@
 //!     take the one address-order walk, which multiplies every amplitude;
 //!   - `perm`: a 10-qubit CX-ladder permutation (the `ladder_*` shape);
 //!
-//!   top-support ops wider than one 2¹³-amplitude tile (`dense`, `ctrl`,
-//!   `perm`) take the index-space split in the parallel leg; every other
-//!   op, bottom-support `perm` included, runs tile by tile (tiles in
+//!   top-support ops wider than one 2¹³-amplitude tile (`dense`, `single`,
+//!   `ctrl`, `perm`) take the index-space split in the parallel leg; every
+//!   other op, bottom-support `perm` included, runs tile by tile (tiles in
 //!   parallel above one tile), so its parallel column measures tile
 //!   parallelism;
+//! * `diag_wide`: a 9-qubit phase table on bit 0 and eight bits spread up
+//!   to the top bit, the shape of a direct-method separator's table, whose
+//!   walk multiplies 2-amplitude strips by 2-entry table slices;
 //! * `expectation`: one grouped Pauli-sum expectation (a `ZZ` and an `XX`
 //!   term), whose chunked reduction the adjoint gradient shares;
 //! * `shots`: one seeded batch of `2ⁿ` shots from a 12-qubit distribution.
@@ -52,8 +57,9 @@ use std::process::Command;
 use std::time::Instant;
 
 /// Fused-op kinds, each timed on a bottom and a top support.
-const OP_KINDS: [&str; 6] = [
+const OP_KINDS: [&str; 7] = [
     "dense",
+    "single",
     "ctrl",
     "keyed",
     "diag_sparse",
@@ -120,6 +126,10 @@ fn kind_op(kind: &str, qubits: &[usize], n: usize) -> FusedOp {
                 },
             }
         }
+        "single" => {
+            c.rx(qubits[0], 0.3);
+            single(c)
+        }
         "ctrl" => {
             c.mcry(vec![ControlBit::one(qubits[1])], qubits[0], 0.3);
             single(c)
@@ -162,6 +172,23 @@ fn kind_op(kind: &str, qubits: &[usize], n: usize) -> FusedOp {
     }
 }
 
+/// The `diag_wide` row's op: a 9-qubit phase table, every entry active, on
+/// bit 0 and eight bits spread over bits 2 to `n − 1`, so the walk
+/// multiplies 2-amplitude strips by 2-entry table slices (the shape of a
+/// direct-method separator's table).
+fn diag_wide_op(n: usize) -> FusedOp {
+    let mut bits = vec![0];
+    bits.extend((0..8).map(|j| 2 + j * (n - 3) / 7));
+    let qubits = bits.iter().rev().map(|b| n - 1 - b).collect();
+    let table = (0..1 << bits.len())
+        .map(|l| Complex64::cis(0.1 + 0.013 * l as f64))
+        .collect();
+    FusedOp {
+        qubits,
+        kernel: FusedKernel::Diagonal(table),
+    }
+}
+
 /// One leg: prints `row n µs` lines under whatever threshold the process
 /// was started with.
 fn run_leg() {
@@ -183,6 +210,11 @@ fn run_leg() {
                 cells.push((format!("{kind}_{side}"), us));
             }
         }
+        let wide = diag_wide_op(n);
+        cells.push((
+            "diag_wide".into(),
+            time_us(dim, || state.apply_fused_op(&wide)),
+        ));
 
         let mut sum = PauliSum::zero(n);
         let pair = |p: char| {
@@ -257,7 +289,7 @@ fn main() {
         rows_in_order.push(format!("{kind}_bottom"));
         rows_in_order.push(format!("{kind}_top"));
     }
-    rows_in_order.extend(["expectation".to_string(), "shots".to_string()]);
+    rows_in_order.extend(["diag_wide", "expectation", "shots"].map(String::from));
 
     let mut rows = Vec::new();
     for row in &rows_in_order {

@@ -16,13 +16,16 @@
 //!   (ranges of group ranks) rather than slicing the amplitude array — so an
 //!   op whose support includes qubit 0 (the most significant bit, whose
 //!   groups interleave across the entire state) fans out across worker
-//!   threads like any other op. That split runs scalar per-group code (and
-//!   a permutation on the top bits has a single group of strips), so wide
-//!   ops take it only from four times the parallel threshold; below, their
-//!   laned serial sweep is faster;
-//! * the hot inner loops process four groups per iteration in split
-//!   real/imaginary SIMD lanes ([`ghs_math::C64x4`]), with scalar remainder
-//!   paths that are bit-identical by construction (see `crate::kernels`).
+//!   threads like any other op. Apart from single-qubit ops, whose workers
+//!   take contiguous runs of pairs through the laned pair kernel, that split
+//!   runs scalar per-group code (and a permutation on the top bits has a
+//!   single group of strips), so wide ops take it only from four times the
+//!   parallel threshold; below, their laned serial sweep is faster;
+//! * the hot inner loops run in SIMD lanes: two amplitudes at a time along
+//!   contiguous runs ([`ghs_math::simd::C64x2`]), or four groups at a time
+//!   in split real/imaginary layout ([`ghs_math::C64x4`]), with scalar
+//!   remainder paths that are bit-identical by construction (see
+//!   `crate::kernels`).
 //!
 //! [`StateVector::run_fused`] is the default execution path of the
 //! workspace; [`StateVector::run_unfused`] keeps the per-gate path alive as
@@ -177,7 +180,7 @@ impl StateVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ghs_circuit::ControlBit;
+    use ghs_circuit::{ControlBit, FusedKernel, Gate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -606,6 +609,69 @@ mod tests {
         let mut expect = s0.clone();
         expect.run_unfused(&h_only);
         assert!(unfused.distance(&expect) < 1e-12);
+    }
+
+    #[test]
+    fn unsatisfiable_controls_leave_the_state_alone_on_the_laned_paths() {
+        // `control_mask` folds a contradictory pattern to `(0, 1)`; the
+        // laned single-qubit and dense arms must not take its zero mask
+        // for "uncontrolled". Target 0 is the top bit, whose pair sweep is
+        // laned at every register size.
+        let contradictory = |n: usize| {
+            let mut controls: Vec<ControlBit> = (2..n).map(ControlBit::one).collect();
+            controls.push(ControlBit::zero(2));
+            controls
+        };
+        let n = 12;
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        c.mcx(contradictory(n), 0).rz(0, 0.3);
+        let mut rng = StdRng::seed_from_u64(29);
+        let s0 = StateVector::random_state(n, &mut rng);
+        let mut fused = s0.clone();
+        fused.run_fused(&c);
+        let mut unfused = s0.clone();
+        unfused.run_unfused(&c);
+        assert!(fused.distance(&unfused) < 1e-12);
+
+        // The McX as a pass-through op, and a dense 2-qubit block under the
+        // same controls, leave every amplitude's bits as they were.
+        let hh = {
+            let h = Gate::H(0).base_matrix().expect("H");
+            h.kron(&h)
+        };
+        for n in [3, 5, 8, 12] {
+            let ops = [
+                FusedOp {
+                    qubits: (0..n).collect(),
+                    kernel: FusedKernel::Gate(Gate::McX {
+                        controls: contradictory(n),
+                        target: 0,
+                    }),
+                },
+                FusedOp {
+                    qubits: vec![0, 1],
+                    kernel: FusedKernel::Dense {
+                        controls: contradictory(n),
+                        matrix: hh.clone(),
+                    },
+                },
+            ];
+            let s0 = StateVector::random_state(n, &mut rng);
+            for op in &ops {
+                let mut s = s0.clone();
+                s.apply_fused_op(op);
+                let bits = |s: &StateVector| -> Vec<(u64, u64)> {
+                    s.amplitudes()
+                        .iter()
+                        .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&s), bits(&s0), "n = {n}: {:?}", op.kernel);
+            }
+        }
     }
 
     #[test]

@@ -40,13 +40,25 @@
 //! * a keyed phase (a pass-through gate) reads its key bits above a chunk
 //!   off the base and scales only the strips its key selects.
 //!
-//! The other hot inner loops process four independent amplitude *groups*
-//! per iteration in split (SoA) real/imaginary layout
-//! ([`ghs_math::C64x4`]). Lanes are only ever laid **across** groups or
-//! along a strip (never inside a dot product), and every lane operation
-//! replays the scalar complex arithmetic elementwise in the same order, so
-//! the SIMD kernels are bit-identical to the scalar remainder path that
-//! doubles as their oracle.
+//! **Lanes.** Two lane layouts from `ghs_math::simd`, never laid inside a
+//! dot product:
+//!
+//! * loops that walk **along** contiguous runs — the uncontrolled
+//!   single-qubit pair sweep at every stride, diagonal strips and table
+//!   slices, keyed-phase and permutation-phase strips — take two
+//!   amplitudes at a time as they lie in memory ([`C64x2`]). Stride 1
+//!   transposes two adjacent pairs so one register holds both low
+//!   amplitudes;
+//! * dense blocks, sparse components and the permutation lane walk lay
+//!   four lanes **across** groups in split real/imaginary layout
+//!   ([`C64x4`]), since their operands are a gather anyway.
+//!
+//! [`Prepared::apply_local`] is generic over the [`C64x2`] body, so its
+//! AVX2 re-dispatch runs the intrinsic body with every lane op inlined.
+//! Both layouts reproduce the scalar complex arithmetic bit for bit for
+//! finite inputs (see `ghs_math::simd`), so the SIMD kernels are
+//! bit-identical to the scalar remainder paths that double as their
+//! oracle.
 //!
 //! The index-space split ([`Prepared::apply_sweep`] with worker threads,
 //! and [`Prepared::apply_cross`]) parallelizes over *group index space*
@@ -59,6 +71,9 @@
 
 use crate::state::{control_mask, parallel_threshold};
 use ghs_circuit::{FusedKernel, FusedOp, Gate};
+#[cfg(target_arch = "x86_64")]
+use ghs_math::simd::Avx2C64x2;
+use ghs_math::simd::{C64x2, PortableC64x2};
 use ghs_math::{C64x4, CMatrix, Complex64};
 use rayon::prelude::*;
 
@@ -68,7 +83,11 @@ pub(crate) const MAX_BLOCK_DIM: usize = 1 << ghs_circuit::MAX_DENSE_QUBITS;
 /// Calls `f(s)` for every `s` whose set bits lie inside `mask` (including
 /// `0`), in increasing order — the standard subset-iteration identity
 /// `s' = (s - mask) & mask`.
-#[inline]
+///
+/// Always inlined, so that `f` inlines into `apply_local`'s AVX2 copy: a
+/// closure compiled on its own has no AVX2 and would call every intrinsic
+/// out of line (a keyed phase on the top bits ran about 40× slower that way).
+#[inline(always)]
 pub(crate) fn for_each_subset<F: FnMut(usize)>(mask: usize, mut f: F) {
     let mut s = 0usize;
     loop {
@@ -148,26 +167,31 @@ fn expand_rank(rank: usize, mask: usize) -> usize {
 /// `per_group` must write only amplitudes of its own group (`i & gmask ==
 /// group`), which is exactly what every kernel below does.
 fn sweep_groups<F: Fn(usize) + Sync>(gmask: usize, parallel: bool, per_group: F) {
-    let groups = 1usize << gmask.count_ones();
-    let workers = if parallel {
-        rayon::current_num_threads().min(groups)
-    } else {
-        1
-    };
-    if workers <= 1 {
-        for_each_subset(gmask, per_group);
-        return;
-    }
-    let mut ranges: Vec<(usize, usize)> = (0..workers)
-        .map(|w| (groups * w / workers, groups * (w + 1) / workers))
-        .collect();
-    ranges.par_iter_mut().for_each(|&mut (lo, hi)| {
+    for_each_range(1usize << gmask.count_ones(), parallel, |lo, hi| {
         let mut off = expand_rank(lo, gmask);
         for _ in lo..hi {
             per_group(off);
             off = off.wrapping_sub(gmask) & gmask;
         }
     });
+}
+
+/// Calls `f(lo, hi)` on `0..count` whole, or, when `parallel` holds, on one
+/// contiguous range per worker thread.
+fn for_each_range<F: Fn(usize, usize) + Sync>(count: usize, parallel: bool, f: F) {
+    let workers = if parallel {
+        rayon::current_num_threads().min(count)
+    } else {
+        1
+    };
+    if workers <= 1 {
+        f(0, count);
+        return;
+    }
+    let mut ranges: Vec<(usize, usize)> = (0..workers)
+        .map(|w| (count * w / workers, count * (w + 1) / workers))
+        .collect();
+    ranges.par_iter_mut().for_each(|&mut (lo, hi)| f(lo, hi));
 }
 
 /// A sparse component resolved to scatter offsets, with the pre-broadcast
@@ -499,14 +523,14 @@ impl Prepared {
     /// Applies the op to one aligned chunk `[base, base + chunk.len())` of
     /// the physical array. Requires `span <= chunk.len()`. This is the one
     /// shared hot path of the flat (tiled) and sharded engines; the SIMD
-    /// lanes here replay the scalar arithmetic elementwise (see module
-    /// docs), so outputs are bit-identical to the scalar remainder loops.
+    /// lanes here replay the scalar arithmetic (see module docs), so
+    /// outputs are bit-identical to the scalar remainder loops.
     ///
     /// On x86-64 with AVX2 available at runtime the body is re-dispatched
-    /// into an `#[target_feature(enable = "avx2")]` copy, so the four-lane
-    /// split-layout loops compile to 256-bit vector ops. Only elementwise
-    /// multiplies/adds are enabled — no FMA contraction — so the AVX2 copy
-    /// computes bit-identical results to the baseline one.
+    /// into an `#[target_feature(enable = "avx2")]` copy instantiated with
+    /// the intrinsic [`C64x2`] body, every lane op inlined, and the split
+    /// [`C64x4`] loops compile to 256-bit vector ops. No FMA is enabled, so
+    /// the AVX2 copy computes bit-identical results to the portable one.
     pub(crate) fn apply_local(&self, base: usize, chunk: &mut [Complex64]) {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -514,17 +538,19 @@ impl Prepared {
             unsafe { self.apply_local_avx2(base, chunk) };
             return;
         }
-        self.apply_local_impl(base, chunk);
+        // Safety: the portable lanes need no CPU feature.
+        unsafe { self.apply_local_impl::<PortableC64x2>(base, chunk) };
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn apply_local_avx2(&self, base: usize, chunk: &mut [Complex64]) {
-        self.apply_local_impl(base, chunk);
+        self.apply_local_impl::<Avx2C64x2>(base, chunk);
     }
 
+    /// Safety: the CPU must support `L`'s target features.
     #[inline(always)]
-    fn apply_local_impl(&self, base: usize, chunk: &mut [Complex64]) {
+    unsafe fn apply_local_impl<L: C64x2>(&self, base: usize, chunk: &mut [Complex64]) {
         let gmask = (chunk.len() - 1) & !self.smask;
         match &self.kind {
             Kind::Diagonal { table, pos } => {
@@ -543,7 +569,7 @@ impl Prepared {
                 }
                 let lo = self.smask & lmask;
                 if lo == 0 {
-                    scale_run(chunk, table[idx]);
+                    scale_run::<L>(chunk, table[idx]);
                     return;
                 }
                 // Strips are the chunk's lowest `run` bits: the run of
@@ -568,15 +594,17 @@ impl Prepared {
                     }
                     *f = acc;
                 }
+                // The last strip's carry reads `flips[c - run]`, which is 0.
                 let strip = 1usize << run;
-                let count = chunk.len() >> run;
-                for (s, seg) in chunk.chunks_exact_mut(strip).enumerate() {
-                    if r > 0 {
-                        scale_run(seg, table[idx]);
-                    } else {
-                        mul_runs(seg, &table[idx..idx + strip]);
+                let strips = chunk.chunks_exact_mut(strip).enumerate();
+                if r > 0 {
+                    for (s, seg) in strips {
+                        scale_run::<L>(seg, table[idx]);
+                        idx ^= flips[s.trailing_ones() as usize];
                     }
-                    if s + 1 < count {
+                } else {
+                    for (s, seg) in strips {
+                        mul_runs::<L>(seg, &table[idx..idx + strip]);
                         idx ^= flips[s.trailing_ones() as usize];
                     }
                 }
@@ -608,7 +636,7 @@ impl Prepared {
                 // Safety: strips are aligned runs of `strip` amplitudes
                 // below `span ≤ chunk.len()`, disjoint across slots.
                 for_each_subset(gmask & !(strip - 1), |g| unsafe {
-                    permute_strips(|o| p.add(g + o), strip, pairs, scale);
+                    permute_strips::<L>(|o| p.add(g + o), strip, pairs, scale);
                 });
             }
             Kind::Dense {
@@ -619,7 +647,7 @@ impl Prepared {
                 cmask,
                 cval,
             } => {
-                if *cmask == 0 && gmask.count_ones() >= 2 {
+                if *cmask == 0 && *cval == 0 && gmask.count_ones() >= 2 {
                     // Uncontrolled dense block: four groups per iteration in
                     // split layout — gather 4 local vectors, one laned
                     // matrix multiply against the pre-broadcast matrix,
@@ -725,45 +753,15 @@ impl Prepared {
                 cval,
                 u,
             } => {
-                let block = stride << 1;
-                if *cmask == 0 && *stride >= 4 {
-                    // Uncontrolled pair sweep: the two halves of each block
-                    // are disjoint contiguous runs, so split them and lane
-                    // four consecutive pairs with no index arithmetic (and
-                    // no bounds checks — `chunks_exact` pins the lengths).
-                    let (u0, u1, u2, u3) = (
-                        C64x4::splat(u[0]),
-                        C64x4::splat(u[1]),
-                        C64x4::splat(u[2]),
-                        C64x4::splat(u[3]),
-                    );
-                    for blk in chunk.chunks_exact_mut(block) {
-                        let (lo, hi) = blk.split_at_mut(*stride);
-                        for (xs, ys) in lo.chunks_exact_mut(4).zip(hi.chunks_exact_mut(4)) {
-                            let a0 = C64x4::gather(xs[0], xs[1], xs[2], xs[3]);
-                            let a1 = C64x4::gather(ys[0], ys[1], ys[2], ys[3]);
-                            let n0 = u0 * a0 + u1 * a1;
-                            let n1 = u2 * a0 + u3 * a1;
-                            for lane in 0..4 {
-                                xs[lane] = n0.lane(lane);
-                                ys[lane] = n1.lane(lane);
-                            }
-                        }
-                    }
+                if *cmask == 0 && *cval == 0 {
+                    single_sweep::<L>(chunk, *stride, u);
                     return;
                 }
-                let mut kb = 0usize;
-                while kb < chunk.len() {
-                    for k in kb..kb + stride {
-                        if (base + k) & cmask != *cval {
-                            continue;
-                        }
-                        let a0 = chunk[k];
-                        let a1 = chunk[k + stride];
-                        chunk[k] = u[0] * a0 + u[1] * a1;
-                        chunk[k + stride] = u[2] * a0 + u[3] * a1;
-                    }
-                    kb += block;
+                // Controlled, or never satisfied (`(0, 1)`): test each pair.
+                let block = stride << 1;
+                for (b, blk) in chunk.chunks_exact_mut(block).enumerate() {
+                    let (lo, hi) = blk.split_at_mut(*stride);
+                    controlled_pair_run(lo, hi, base + b * block, *cmask, *cval, u);
                 }
             }
             Kind::Keyed { kmask, kval, phase } => {
@@ -781,7 +779,7 @@ impl Prepared {
                 let strip = 1usize << (lo | chunk.len()).trailing_zeros();
                 let at = kval & lo;
                 for_each_subset(lmask & !lo & !(strip - 1), |g| {
-                    scale_run(&mut chunk[g | at..(g | at) + strip], *phase);
+                    scale_run::<L>(&mut chunk[g | at..(g | at) + strip], *phase);
                 });
             }
             Kind::Swap { pa, pb } => {
@@ -794,11 +792,7 @@ impl Prepared {
                     }
                 }
             }
-            Kind::Phase { phase } => {
-                for a in chunk.iter_mut() {
-                    *a *= *phase;
-                }
-            }
+            Kind::Phase { phase } => scale_run::<L>(chunk, *phase),
         }
     }
 
@@ -839,7 +833,7 @@ impl Prepared {
     /// out across worker threads: distinct groups address disjoint
     /// amplitude sets. An op that fits one chunk of the split runs
     /// [`Prepared::apply_local`] chunk by chunk; a permutation moves whole
-    /// strips.
+    /// strips, and a single-qubit op sweeps contiguous runs of pairs.
     fn apply_spread(&self, amps: &Amps, dim: usize, parallel: bool) {
         let workers = if parallel {
             rayon::current_num_threads()
@@ -867,8 +861,10 @@ impl Prepared {
             }
             Kind::Permutation { pairs, scale } => {
                 let strip = (1usize << self.smask.trailing_zeros()).min(amps.run());
+                // Portable lanes, which need no CPU feature: the split runs
+                // outside `apply_local`'s AVX2 copy.
                 sweep_groups(gmask & !(strip - 1), parallel, |g| unsafe {
-                    permute_strips(|o| amps.at(g + o), strip, pairs, scale);
+                    permute_strips::<PortableC64x2>(|o| amps.at(g + o), strip, pairs, scale);
                 });
             }
             Kind::Dense {
@@ -935,16 +931,23 @@ impl Prepared {
                 cval,
                 u,
             } => {
-                let pair_mask = (dim - 1) & !stride;
-                sweep_groups(pair_mask, parallel, |i| {
-                    if i & cmask != *cval {
-                        return;
-                    }
-                    unsafe {
-                        let (p0, p1) = (amps.at(i), amps.at(i + stride));
-                        let (a0, a1) = (*p0, *p1);
-                        *p0 = u[0] * a0 + u[1] * a1;
-                        *p1 = u[2] * a0 + u[3] * a1;
+                // One contiguous range of pair ranks per worker, cut into
+                // runs inside one block half and one shard: the runs of
+                // `apply_local`'s sweep, the laned pair kernel included.
+                let seg = (*stride).min(amps.run());
+                for_each_range(dim / 2, parallel, |lo, hi| {
+                    let mut r = lo;
+                    while r < hi {
+                        let end = hi.min((r / seg + 1) * seg);
+                        let i = r / stride * (stride << 1) + r % stride;
+                        // Safety: the run of ranks `r..end` maps to two
+                        // runs inside one shard, disjoint across ranges.
+                        unsafe {
+                            let xs = std::slice::from_raw_parts_mut(amps.at(i), end - r);
+                            let ys = std::slice::from_raw_parts_mut(amps.at(i + stride), end - r);
+                            pair_run_dispatch(xs, ys, i, (*cmask, *cval), u);
+                        }
+                        r = end;
                     }
                 });
             }
@@ -1007,9 +1010,10 @@ impl Amps {
 /// out.
 ///
 /// Safety: `at` must address `strip` valid amplitudes per slot, disjoint
-/// across the slots of `pairs` and `scale`.
+/// across the slots of `pairs` and `scale`, and the CPU must support `L`'s
+/// target features.
 #[inline(always)]
-unsafe fn permute_strips(
+unsafe fn permute_strips<L: C64x2>(
     at: impl Fn(usize) -> *mut Complex64,
     strip: usize,
     pairs: &[(usize, usize)],
@@ -1019,41 +1023,178 @@ unsafe fn permute_strips(
         std::ptr::swap_nonoverlapping(at(a), at(b), strip);
     }
     for &(o, e) in scale {
-        scale_run(std::slice::from_raw_parts_mut(at(o), strip), e);
+        scale_run::<L>(std::slice::from_raw_parts_mut(at(o), strip), e);
     }
 }
 
-/// Multiplies a contiguous run of amplitudes by `e`, four lanes at a time.
+/// Multiplies a contiguous run of amplitudes by `e`, two at a time.
+///
+/// Safety: the CPU must support `L`'s target features.
 #[inline(always)]
-fn scale_run(run: &mut [Complex64], e: Complex64) {
-    let ph = C64x4::splat(e);
-    let mut quads = run.chunks_exact_mut(4);
-    for q in &mut quads {
-        let out = C64x4::gather(q[0], q[1], q[2], q[3]) * ph;
-        for (k, a) in q.iter_mut().enumerate() {
-            *a = out.lane(k);
-        }
+unsafe fn scale_run<L: C64x2>(run: &mut [Complex64], e: Complex64) {
+    let ph = L::splat(e);
+    let mut pairs = run.chunks_exact_mut(2);
+    for q in &mut pairs {
+        (L::load(q.as_ptr()) * ph).store(q.as_mut_ptr());
     }
-    for a in quads.into_remainder() {
+    for a in pairs.into_remainder() {
         *a *= e;
     }
 }
 
 /// Multiplies a contiguous run of amplitudes by a slice of table entries of
-/// the same length, four lanes at a time.
+/// the same length, two at a time.
+///
+/// Safety: the CPU must support `L`'s target features.
 #[inline(always)]
-fn mul_runs(run: &mut [Complex64], table: &[Complex64]) {
-    let mut quads = run.chunks_exact_mut(4);
-    let mut entries = table.chunks_exact(4);
-    for (q, t) in (&mut quads).zip(&mut entries) {
-        let out = C64x4::gather(q[0], q[1], q[2], q[3]) * C64x4::gather(t[0], t[1], t[2], t[3]);
-        for (k, a) in q.iter_mut().enumerate() {
-            *a = out.lane(k);
-        }
+unsafe fn mul_runs<L: C64x2>(run: &mut [Complex64], table: &[Complex64]) {
+    let mut pairs = run.chunks_exact_mut(2);
+    let mut entries = table.chunks_exact(2);
+    for (q, t) in (&mut pairs).zip(&mut entries) {
+        (L::load(q.as_ptr()) * L::load(t.as_ptr())).store(q.as_mut_ptr());
     }
-    for (a, t) in quads.into_remainder().iter_mut().zip(entries.remainder()) {
+    for (a, t) in pairs.into_remainder().iter_mut().zip(entries.remainder()) {
         *a *= *t;
     }
+}
+
+/// The uncontrolled single-qubit sweep of one chunk at any `stride`, the
+/// arithmetic of `StateVector::apply_controlled_single_qubit`.
+///
+/// Safety: the CPU must support `L`'s target features.
+#[inline(always)]
+unsafe fn single_sweep<L: C64x2>(chunk: &mut [Complex64], stride: usize, u: &[Complex64; 4]) {
+    let us = splat4::<L>(u);
+    if stride > 1 {
+        // The two halves of each block are disjoint contiguous runs.
+        for blk in chunk.chunks_exact_mut(stride << 1) {
+            let (lo, hi) = blk.split_at_mut(stride);
+            pair_run(lo, hi, &us, u);
+        }
+        return;
+    }
+    // Each pair is adjacent: transposing two pairs puts both low
+    // amplitudes in one register and both high ones in the other.
+    let mut quads = chunk.chunks_exact_mut(4);
+    for q in &mut quads {
+        let p = q.as_mut_ptr();
+        let (a0, a1) = L::transpose(L::load(p), L::load(p.add(2)));
+        let (n0, n1) = L::transpose(a0 * us[0] + a1 * us[1], a0 * us[2] + a1 * us[3]);
+        n0.store(p);
+        n1.store(p.add(2));
+    }
+    if let [x, y] = quads.into_remainder() {
+        pair_update(x, y, u);
+    }
+}
+
+/// Applies `u` to the pairs `(lo[k], hi[k])`, two pairs at a time:
+/// `lo[k] ← u₀·lo[k] + u₁·hi[k]` and `hi[k] ← u₂·lo[k] + u₃·hi[k]`. `us` is
+/// `u` splatted.
+///
+/// Safety: the CPU must support `L`'s target features.
+#[inline(always)]
+unsafe fn pair_run<L: C64x2>(
+    lo: &mut [Complex64],
+    hi: &mut [Complex64],
+    us: &[L; 4],
+    u: &[Complex64; 4],
+) {
+    let mut xs = lo.chunks_exact_mut(2);
+    let mut ys = hi.chunks_exact_mut(2);
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        let (a0, a1) = (L::load(x.as_ptr()), L::load(y.as_ptr()));
+        (a0 * us[0] + a1 * us[1]).store(x.as_mut_ptr());
+        (a0 * us[2] + a1 * us[3]).store(y.as_mut_ptr());
+    }
+    for (x, y) in xs.into_remainder().iter_mut().zip(ys.into_remainder()) {
+        pair_update(x, y, u);
+    }
+}
+
+/// The four entries of `u`, each splatted to both lanes.
+///
+/// Safety: the CPU must support `L`'s target features.
+#[inline(always)]
+unsafe fn splat4<L: C64x2>(u: &[Complex64; 4]) -> [L; 4] {
+    [
+        L::splat(u[0]),
+        L::splat(u[1]),
+        L::splat(u[2]),
+        L::splat(u[3]),
+    ]
+}
+
+/// `(x, y) ← (u₀·x + u₁·y, u₂·x + u₃·y)`, the scalar arithmetic of
+/// `StateVector::apply_controlled_single_qubit`.
+#[inline(always)]
+fn pair_update(x: &mut Complex64, y: &mut Complex64, u: &[Complex64; 4]) {
+    let (a0, a1) = (*x, *y);
+    *x = u[0] * a0 + u[1] * a1;
+    *y = u[2] * a0 + u[3] * a1;
+}
+
+/// [`pair_update`] on the pairs `(lo[k], hi[k])` whose index `at + k`
+/// satisfies the controls.
+#[inline(always)]
+fn controlled_pair_run(
+    lo: &mut [Complex64],
+    hi: &mut [Complex64],
+    at: usize,
+    cmask: usize,
+    cval: usize,
+    u: &[Complex64; 4],
+) {
+    for (k, (x, y)) in lo.iter_mut().zip(hi).enumerate() {
+        if (at + k) & cmask == cval {
+            pair_update(x, y, u);
+        }
+    }
+}
+
+/// Applies a single-qubit op to the pairs `(xs[k], ys[k])`, where `xs[0]`
+/// has index `at`: [`pair_run`] on the widest lane body this CPU supports
+/// when the op is uncontrolled, [`controlled_pair_run`] otherwise.
+fn pair_run_dispatch(
+    xs: &mut [Complex64],
+    ys: &mut [Complex64],
+    at: usize,
+    (cmask, cval): (usize, usize),
+    u: &[Complex64; 4],
+) {
+    /// Safety: the CPU must support `L`'s target features.
+    #[inline(always)]
+    unsafe fn run<L: C64x2>(
+        xs: &mut [Complex64],
+        ys: &mut [Complex64],
+        at: usize,
+        (cmask, cval): (usize, usize),
+        u: &[Complex64; 4],
+    ) {
+        if cmask == 0 && cval == 0 {
+            pair_run(xs, ys, &splat4::<L>(u), u);
+        } else {
+            controlled_pair_run(xs, ys, at, cmask, cval, u);
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(
+            xs: &mut [Complex64],
+            ys: &mut [Complex64],
+            at: usize,
+            controls: (usize, usize),
+            u: &[Complex64; 4],
+        ) {
+            run::<Avx2C64x2>(xs, ys, at, controls, u);
+        }
+        // Safety: the required CPU feature was just checked.
+        unsafe { avx2(xs, ys, at, (cmask, cval), u) };
+        return;
+    }
+    // Safety: the portable lanes need no CPU feature.
+    unsafe { run::<PortableC64x2>(xs, ys, at, (cmask, cval), u) };
 }
 
 /// Scalar gather → multiply → scatter of one dense group — the remainder
@@ -1122,10 +1263,10 @@ pub(crate) fn sweep_parallel(dim: usize) -> bool {
 /// Multiple of [`parallel_threshold`] from which an op wider than a fused
 /// tile takes [`Prepared::apply_sweep`]'s index-space split. In the
 /// `crossover` binary's top-support rows on two threads, a dense 2-qubit op
-/// wins split only from 2¹⁷ amplitudes, a controlled single-qubit gate
-/// loses to its laned serial sweep at every size up to 2¹⁸, and a 10-qubit
-/// permutation, whose strips form a single group, never wins split (1.00–1.13
-/// of serial from 2¹⁴ to 2¹⁸ over two runs).
+/// wins split only from 2¹⁷ amplitudes, an uncontrolled single-qubit op,
+/// whose workers take contiguous runs of pairs, breaks even at 2¹⁸ and wins
+/// above, and a 10-qubit permutation, whose strips form a single group,
+/// never wins split (1.00–1.13 of serial from 2¹⁴ to 2¹⁸ over two runs).
 const WIDE_SWEEP_FACTOR: usize = 4;
 
 /// `true` when an op wider than a fused tile should sweep `dim` amplitudes
@@ -1201,6 +1342,60 @@ mod tests {
         }
     }
 
+    /// A random `n`-qubit state with signed zeros among its amplitudes:
+    /// `(+0, −0)·1` is `(+0, +0)`, so a kernel that skips or reorders work
+    /// shows in the bits.
+    fn seasoned_state(n: usize, rng: &mut rand::rngs::StdRng) -> Vec<Complex64> {
+        use rand::Rng;
+        let mut amps = crate::StateVector::random_state(n, rng)
+            .amplitudes()
+            .to_vec();
+        for a in amps.iter_mut() {
+            if rng.gen_bool(0.25) {
+                *a = Complex64::new(
+                    [0.0, -0.0][rng.gen_range(0..2usize)],
+                    [0.0, -0.0][rng.gen_range(0..2usize)],
+                );
+            }
+        }
+        amps
+    }
+
+    /// Applies `prepared` to `s0` through every chunk size that holds its
+    /// span, every shard split (serial and parallel) and both sweeps, and
+    /// checks each result against `want` bit for bit.
+    fn assert_every_path(
+        n: usize,
+        prepared: &Prepared,
+        s0: &[Complex64],
+        want: &[Complex64],
+        case: &str,
+    ) {
+        let dim = 1usize << n;
+        for c in 0..=n {
+            let chunk = 1usize << c;
+            if chunk >= prepared.span {
+                let mut amps = s0.to_vec();
+                for (ci, part) in amps.chunks_mut(chunk).enumerate() {
+                    prepared.apply_local(ci * chunk, part);
+                }
+                assert_bits(&amps, want, &format!("{case}: chunks of {chunk}"));
+            }
+            for parallel in [false, true] {
+                let mut shards: Vec<Vec<Complex64>> = s0.chunks(chunk).map(<[_]>::to_vec).collect();
+                prepared.apply_cross(&mut shards, dim, parallel);
+                let got: Vec<Complex64> = shards.concat();
+                let what = format!("{case}: shards of {chunk}, parallel {parallel}");
+                assert_bits(&got, want, &what);
+            }
+        }
+        for parallel in [false, true] {
+            let mut amps = s0.to_vec();
+            prepared.apply_sweep(&mut amps, parallel);
+            assert_bits(&amps, want, &format!("{case}: sweep {parallel}"));
+        }
+    }
+
     #[test]
     fn diagonal_permutation_and_keyed_walks_match_their_oracle() {
         use rand::rngs::StdRng;
@@ -1263,43 +1458,156 @@ mod tests {
             };
             let op = FusedOp { qubits, kernel };
             let prepared = Prepared::build(n, &op);
-            // Signed zeros among the amplitudes: `(+0, −0)·1` is `(+0, +0)`.
-            let mut amps = crate::StateVector::random_state(n, &mut rng)
-                .amplitudes()
-                .to_vec();
-            for a in amps.iter_mut() {
-                if rng.gen_bool(0.25) {
-                    *a = Complex64::new(
-                        [0.0, -0.0][rng.gen_range(0..2usize)],
-                        [0.0, -0.0][rng.gen_range(0..2usize)],
-                    );
-                }
-            }
-            let s0 = crate::StateVector::from_amplitudes(n, amps);
-            let want = oracle(n, &op, s0.amplitudes());
-            let dim = 1usize << n;
-            for c in 0..=n {
-                let chunk = 1usize << c;
-                if chunk >= prepared.span {
-                    let mut amps = s0.amplitudes().to_vec();
-                    for (ci, part) in amps.chunks_mut(chunk).enumerate() {
-                        prepared.apply_local(ci * chunk, part);
+            let s0 = seasoned_state(n, &mut rng);
+            let want = oracle(n, &op, &s0);
+            assert_every_path(n, &prepared, &s0, &want, &format!("case {case}"));
+        }
+    }
+
+    /// Uncontrolled, controlled and never-satisfied single-qubit ops on
+    /// every target, bits 0 and 1 (the transposed and two-pair sweeps)
+    /// included, against the per-gate kernel.
+    #[test]
+    fn single_qubit_sweeps_match_their_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x51_4e61);
+        for n in 1..=10usize {
+            for target in 0..n {
+                let others: Vec<usize> = (0..n).filter(|&q| q != target).collect();
+                for kind in ["uncontrolled", "controlled", "unsatisfiable"] {
+                    if others.is_empty() && kind != "uncontrolled" {
+                        continue;
                     }
-                    assert_bits(&amps, &want, &format!("case {case}: chunks of {chunk}"));
-                }
-                for parallel in [false, true] {
-                    let mut shards: Vec<Vec<Complex64>> =
-                        s0.amplitudes().chunks(chunk).map(<[_]>::to_vec).collect();
-                    prepared.apply_cross(&mut shards, dim, parallel);
-                    let got: Vec<Complex64> = shards.concat();
-                    let what = format!("case {case}: shards of {chunk}, parallel {parallel}");
-                    assert_bits(&got, &want, &what);
+                    let mut controls: Vec<ControlBit> = Vec::new();
+                    if kind != "uncontrolled" {
+                        for &q in &others {
+                            if controls.is_empty() || rng.gen_bool(0.3) {
+                                controls.push(ControlBit {
+                                    qubit: q,
+                                    value: rng.gen_range(0..2u8),
+                                });
+                            }
+                        }
+                    }
+                    if kind == "unsatisfiable" {
+                        let c = controls[rng.gen_range(0..controls.len())];
+                        controls.push(ControlBit {
+                            qubit: c.qubit,
+                            value: 1 - c.value,
+                        });
+                    }
+                    let mut entry =
+                        || Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                    let u = CMatrix::from_vec(2, 2, vec![entry(), entry(), entry(), entry()]);
+                    let op = FusedOp {
+                        qubits: vec![target],
+                        kernel: FusedKernel::Dense {
+                            controls: controls.clone(),
+                            matrix: u.clone(),
+                        },
+                    };
+                    let s0 = seasoned_state(n, &mut rng);
+                    let mut want = crate::StateVector::from_amplitudes(n, s0.clone());
+                    want.apply_controlled_single_qubit(target, &controls, &u);
+                    let case = format!("n {n}, target {target}, {kind}");
+                    assert_every_path(n, &Prepared::build(n, &op), &s0, want.amplitudes(), &case);
                 }
             }
-            for parallel in [false, true] {
-                let mut amps = s0.amplitudes().to_vec();
-                prepared.apply_sweep(&mut amps, parallel);
-                assert_bits(&amps, &want, &format!("case {case}: sweep {parallel}"));
+        }
+    }
+
+    /// The strip loops, run with every lane body this CPU supports, on
+    /// awkward values and runs of every length up to 9 (odd ones end in
+    /// the scalar remainder).
+    fn strip_loops<L: C64x2>(xs: &[Complex64], ys: &[Complex64]) -> Vec<Vec<Complex64>> {
+        let u = [xs[1], ys[2], ys[0], xs[3]];
+        let mut outs = Vec::new();
+        for len in 0..=9 {
+            let (x, y) = (&xs[..len], &ys[..len]);
+            // Safety: callers check the body's CPU features.
+            unsafe {
+                let mut run = x.to_vec();
+                scale_run::<L>(&mut run, ys[0]);
+                outs.push(run);
+                let mut run = x.to_vec();
+                mul_runs::<L>(&mut run, y);
+                outs.push(run);
+                let (mut lo, mut hi) = (x.to_vec(), y.to_vec());
+                pair_run::<L>(&mut lo, &mut hi, &splat4::<L>(&u), &u);
+                outs.push(lo);
+                outs.push(hi);
+            }
+        }
+        for stride in [1, 2, 4] {
+            for blocks in 1..=3 {
+                let mut chunk = xs[..2 * stride * blocks].to_vec();
+                // Safety: as above.
+                unsafe { single_sweep::<L>(&mut chunk, stride, &u) };
+                outs.push(chunk);
+            }
+        }
+        outs
+    }
+
+    #[test]
+    fn lane_bodies_match_the_scalar_strip_loops() {
+        let awkward = [
+            Complex64::new(0.1, -0.7),
+            Complex64::new(1.0e-160, 3.3),
+            Complex64::new(-2.5000000000000004, 1.0e16),
+            Complex64::new(std::f64::consts::PI, -std::f64::consts::E),
+            Complex64::new(-0.0, 0.0),
+            Complex64::new(-0.30000000000000004, 0.2),
+            Complex64::new(7.7, -1.0e-9),
+            Complex64::new(0.0, -0.0),
+            Complex64::new(1.0 / 3.0, 2.0 / 3.0),
+            Complex64::new(-1.0e-300, 4.4),
+            Complex64::new(1.0, 0.0),
+        ];
+        let xs: Vec<Complex64> = (0..24).map(|i| awkward[i % 11]).collect();
+        let ys: Vec<Complex64> = (0..24).map(|i| awkward[(7 * i + 3) % 11]).collect();
+        let u = [xs[1], ys[2], ys[0], xs[3]];
+        // The scalar arithmetic each loop replays.
+        let mut want = Vec::new();
+        for len in 0..=9 {
+            let (x, y) = (&xs[..len], &ys[..len]);
+            want.push(x.iter().map(|&a| a * ys[0]).collect::<Vec<_>>());
+            want.push(x.iter().zip(y).map(|(&a, &t)| a * t).collect());
+            want.push(
+                x.iter()
+                    .zip(y)
+                    .map(|(&a, &b)| u[0] * a + u[1] * b)
+                    .collect(),
+            );
+            want.push(
+                x.iter()
+                    .zip(y)
+                    .map(|(&a, &b)| u[2] * a + u[3] * b)
+                    .collect(),
+            );
+        }
+        for stride in [1, 2, 4] {
+            for blocks in 1..=3 {
+                let mut chunk = xs[..2 * stride * blocks].to_vec();
+                for blk in chunk.chunks_exact_mut(2 * stride) {
+                    let (lo, hi) = blk.split_at_mut(stride);
+                    controlled_pair_run(lo, hi, 0, 0, 0, &u);
+                }
+                want.push(chunk);
+            }
+        }
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut bodies = vec![("portable", strip_loops::<PortableC64x2>(&xs, &ys))];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push(("avx2", strip_loops::<Avx2C64x2>(&xs, &ys)));
+        }
+        for (body, got) in bodies {
+            assert_eq!(got.len(), want.len());
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.len(), w.len());
+                assert_bits(g, w, &format!("{body}: loop output {k}"));
             }
         }
     }
